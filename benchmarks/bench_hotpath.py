@@ -54,6 +54,7 @@ import numpy as np
 from repro.core.config import MachineConfig
 from repro.core.distributed import DistributedMachine
 from repro.core.machine import FasdaMachine
+from repro.harness.profiling import _forces_with_loop_exchange
 from repro.md.backends import (
     ENERGY_RTOL,
     FORCE_ATOL,
@@ -470,9 +471,9 @@ def bench_distributed_step(label: str, dims, reps: int) -> dict:
 
         t_serial = _median_time(serial.compute_forces, reps)
         t_parallel = _median_time(pooled.compute_forces, reps)
-        serial.exchange_impl = "loop"
-        t_serial_loop_exchange = _median_time(serial.compute_forces, reps)
-        serial.exchange_impl = "batched"
+        t_serial_loop_exchange = _median_time(
+            lambda: _forces_with_loop_exchange(serial), reps
+        )
     finally:
         pooled.close()
 

@@ -456,7 +456,6 @@ def _distributed_payload(m) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
         "primed": bool(m._primed),
         "iteration": int(m._iteration),
         "last_potential": float(m._last_potential),
-        "exchange_impl": m.exchange_impl,
         "force_impl": m.force_impl,
         "reuse_state": bool(m.reuse_state),
         "state_builds": int(m.state_builds),
@@ -583,7 +582,6 @@ def _restore_distributed(meta, inner):
     m._primed = bool(meta["primed"])
     m._iteration = int(meta["iteration"])
     m._last_potential = float(meta["last_potential"])
-    m.exchange_impl = meta["exchange_impl"]
     # Absent on pre-backend checkpoints: None = process-wide default.
     m.force_impl = meta.get("force_impl")
     m.reuse_state = bool(meta["reuse_state"])

@@ -5,14 +5,17 @@ traffic; this module executes the way the cluster actually does:
 
 * each node owns only its local cells' particles (position cache
   contents: quantized fractions + species + ids);
-* boundary-cell positions are packed into :class:`~repro.core.packets.Packet`
-  objects by a per-node P2R encapsulator chain — one copy per destination
-  *node*, exactly like the hardware's departure gates;
+* boundary-cell positions are packed one batch per (source, destination)
+  node flow — one copy per destination *node*, exactly like the
+  hardware's departure gates (the per-record P2R encapsulator walk is
+  kept as :func:`repro.oracles.exchange_positions_loop`);
 * on arrival, the receiving node converts the record's global cell
   coordinates through GCID -> LCID (node-relative) and LCID -> RCID
   (cell-relative) — the actual Sec. 4.2 machinery, exercised on real data;
-* each node evaluates its home cells against local + halo data, returns
-  nonzero neighbor forces as force packets, and integrates its particles.
+* each node evaluates its home cells against local + halo data through
+  the same :class:`~repro.core.machine.NodeKernel` the single machine
+  runs, returns nonzero neighbor forces as force packets, and
+  integrates its particles.
 
 The distributed trajectory must agree with the global machine's within
 float32 accumulation-order noise — asserted by the equivalence tests —
@@ -23,13 +26,12 @@ real cluster.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.arith.fixedpoint import FixedPointFormat
-from repro.arith.interp import ForceTableSet
 from repro.core.cellids import (
     RCID_HOME,
     cell_node_ids,
@@ -37,10 +39,17 @@ from repro.core.cellids import (
     lcid_to_rcid,
 )
 from repro.core.config import MachineConfig
-from repro.core.datapath import ForcePipeline, PairFilter, quantize_cell_fractions
+from repro.core.datapath import quantize_cell_fractions
 from repro.core.elasticity import LoadBalancer, fpga_grid_for
+from repro.core.machine import (
+    _FRESH_BAND,
+    _OFFS14,
+    _BandArtifacts,
+    _Datapath,
+    _StepArena,
+)
 from repro.core.migration import plan_partition_migration
-from repro.core.packets import P2REncapsulatorChain, Packet, Record, RecordBatch
+from repro.core.packets import RecordBatch
 from repro.core.timing import StepTimings
 from repro.faults import (
     DegradationRecord,
@@ -58,9 +67,10 @@ from repro.network.netsim import Burst, OutputQueuedSwitch, SwitchStats
 from repro.faults.nodes import REPLAY_CYCLES_PER_RECORD
 from repro.md.backends import resolve_backend
 from repro.md.cells import CellGrid, CellList, HALF_SHELL_OFFSETS
+from repro.md.cellstate import band_slot_pairs
 from repro.md.dataset import build_dataset
 from repro.md.kernels import scatter_add
-from repro.md.pairplan import ROWS_PER_CELL, iter_pair_chunks, plan_for_grid
+from repro.md.pairplan import ROWS_PER_CELL, plan_for_grid
 from repro.md.engine import EnergyRecord
 from repro.md.system import ParticleSystem
 from repro.util.errors import (
@@ -69,7 +79,6 @@ from repro.util.errors import (
     TransportError,
     ValidationError,
 )
-from repro.util.units import KCAL_MOL_TO_INTERNAL
 
 
 @dataclass
@@ -95,35 +104,52 @@ class _Node:
     packets_out: int = 0
 
 
+class _NodeView(NamedTuple):
+    """One node's visible particles, flattened in ascending cell id."""
+
+    node_id: int
+    counts: np.ndarray     # (n_cells,) visible occupancy per global cell
+    pids: np.ndarray       # global particle index per slot
+    frac: np.ndarray       # (slots, 3) quantized in-cell fractions
+    species: np.ndarray
+
+
 #: Machine inherited by forked evaluation workers (set just before the
 #: fork; the machine's tables/pipelines hold lambdas and cannot be
 #: pickled, but a forked child shares them by copy-on-write).
 _FORK_MACHINE: Optional["DistributedMachine"] = None
 
 
-def _fork_eval_node(node: "_Node"):
-    """Process-pool entry point: evaluate one node in a forked worker."""
-    return _FORK_MACHINE._evaluate_node(node)
+def _fork_eval_node(task: Tuple[_NodeView, int]):
+    """Process-pool entry point: evaluate one pickled node view."""
+    return _FORK_MACHINE._eval_node(*task)
 
 
-def _fork_eval_node_shm(task: Tuple[int, int, int]):
+def _fork_eval_node_shm(task: Tuple[Tuple[int, int, int], int]):
     """Zero-copy process-pool entry point.
 
-    ``task`` is only ``(node_id, pid_offset, pid_len)``; everything
-    bulky — current fractions, the per-node particle-id catalog, the
-    per-node force bank — lives in :mod:`multiprocessing.shared_memory`
-    segments the forked worker inherited by mapping, so nothing big is
-    pickled in either direction.
+    ``task`` is only ``((node_id, pid_offset, pid_len), cap)``;
+    everything bulky — current fractions, the per-node particle-id
+    catalog, the per-node force banks — lives in
+    :mod:`multiprocessing.shared_memory` segments the forked worker
+    inherited by mapping, so nothing big is pickled in either direction.
     """
-    return _FORK_MACHINE._evaluate_node_shm(task)
+    return _FORK_MACHINE._eval_node_shm(*task)
 
 
-class DistributedMachine:
+class DistributedMachine(_Datapath):
     """Executes a FASDA deployment node by node with explicit exchange.
 
-    Parameters mirror :class:`~repro.core.machine.FasdaMachine`.  This
-    implementation favors protocol fidelity over speed — use the global
-    machine for large sweeps.
+    Parameters mirror :class:`~repro.core.machine.FasdaMachine`.  Each
+    force pass partitions the particles across nodes, ships boundary
+    positions as real packet batches, and evaluates every node through
+    the machine's own :class:`~repro.core.machine.NodeKernel` — the
+    same admission, ROM-pipeline and bank-scatter kernels, over the
+    band pairs of the node's home rows in node-local banks sized to its
+    visible particles (see DESIGN.md §13).  Node banks merge in node-id
+    order, so serial, thread and process evaluation are bitwise
+    identical; forces agree with the single machine to float32
+    accumulation order.
     """
 
     def __init__(
@@ -215,35 +241,9 @@ class DistributedMachine:
             )
         if not np.allclose(system.box, self.grid.box):
             raise ConfigError("system box does not match config box")
-        self.system = system.copy()
-        self._velocities32 = self.system.velocities.astype(np.float32)
-        self._forces32 = np.zeros_like(self._velocities32)
-        self.fmt = FixedPointFormat(frac_bits=config.frac_bits)
-        self.tables = ForceTableSet(n_s=config.table_ns, n_b=config.table_nb)
-        self.filter = PairFilter(self.tables.r2_min)
-        self.pipeline = ForcePipeline(self.system.lj_table, config.cutoff, self.tables)
-        # Optional Ewald pipeline (same dual-pipeline arrangement as the
-        # global machine); charges travel in the position payload.
-        self.coulomb_pipeline = None
-        self._charges32 = None
-        if config.force_model == "lj+coulomb":
-            from repro.core.datapath import TabulatedRadialPipeline
-            from repro.md.ewald import (
-                choose_beta,
-                ewald_real_energy_scalar,
-                ewald_real_scalar,
-            )
-
-            self.ewald_beta = choose_beta(config.cutoff, config.ewald_tolerance)
-            beta = self.ewald_beta
-            self.coulomb_pipeline = TabulatedRadialPipeline.from_physical(
-                lambda r2: ewald_real_scalar(r2, beta),
-                lambda r2: ewald_real_energy_scalar(r2, beta),
-                cutoff=config.cutoff,
-                n_s=config.table_ns,
-                n_b=config.table_nb,
-            )
-            self._charges32 = self.system.charges.astype(np.float32)
+        self._init_datapath(config, system)
+        #: Per-thread kernel scratch (see :meth:`_node_arena`).
+        self._arenas = threading.local()
         # Static geometry (partition-independent: the cell grid and the
         # half-shell pair plan never change, only cell *ownership* does).
         n_cells = self.grid.n_cells
@@ -253,16 +253,12 @@ class DistributedMachine:
         self._neighbor_cids = plan.neighbor_ids
         # Partition-derived structures (rebuilt on every elastic rescale).
         self._apply_partition(config)
-        #: Exchange implementation: "batched" (array-packed RecordBatch
-        #: per flow) or "loop" (per-particle Record objects through the
-        #: P2R chain — the retained protocol oracle).
-        self.exchange_impl = "batched"
-        #: Force backend (see :mod:`repro.md.backends`), inherited by
-        #: every node's evaluation: the fused gather/displacement
-        #: kernel feeds the unchanged
-        #: :meth:`~repro.core.datapath.PairFilter.admit_r2`, so per-node
-        #: admissions, forces, statistics and traffic are bitwise
-        #: identical across backends.  ``None`` = process-wide default.
+        #: Force backend (see :mod:`repro.md.backends`) of every node's
+        #: kernel pass: the compiled ``admit_flat``/``rom_eval``/
+        #: ``scatter_cols`` kernels are bitwise identical to the numpy
+        #: sequence, so per-node admissions, forces, statistics and
+        #: traffic are identical across backends.  ``None`` =
+        #: process-wide default.
         self.force_impl: Optional[str] = None
         #: Reuse the node partition and the per-flow packing skeletons
         #: across steps while the cell assignment is unchanged (see
@@ -489,28 +485,11 @@ class DistributedMachine:
     def _exchange_positions(self, nodes: Dict[int, _Node]) -> None:
         """Pack, send, and unpack boundary-cell positions.
 
-        Dispatches on :attr:`exchange_impl` — the batched path ships one
-        array-packed :class:`~repro.core.packets.RecordBatch` per
-        (source node, destination node) flow; the loop path walks the
-        per-particle :class:`~repro.core.packets.Record` /
-        :class:`~repro.core.packets.P2REncapsulatorChain` protocol and
-        is retained as the equivalence oracle (identical halos and
-        packet counts, asserted by the tests).
-        """
-        if self.exchange_impl == "loop":
-            if self.injector is not None:
-                raise ConfigError(
-                    "fault injection requires the batched exchange path "
-                    "(exchange_impl='batched')"
-                )
-            self._exchange_positions_loop(nodes)
-        else:
-            self._exchange_positions_batched(nodes)
-
-    def _exchange_positions_batched(self, nodes: Dict[int, _Node]) -> None:
-        """Array-packed exchange: one RecordBatch per (src, dst) flow.
-
-        Gate-chain equivalence: the loop's per-destination gate receives
+        Ships one array-packed :class:`~repro.core.packets.RecordBatch`
+        per (source node, destination node) flow.  Gate-chain
+        equivalence with the per-record protocol walk
+        (:func:`repro.oracles.exchange_positions_loop`, asserted by the
+        tests): the per-destination gate of the P2R chain receives
         exactly this flow's records in ascending (cell, slot) order and
         flushes once at end of iteration, so its packet count is
         ``ceil(n_records / records_per_packet)`` — precisely
@@ -519,76 +498,53 @@ class DistributedMachine:
         rpp = self.config.records_per_packet
         gd = np.asarray(self.config.global_cells, dtype=np.int64)
         ld = self.config.local_cells
-        if self.reuse_state and self._flow_static is None:
-            # Packing skeletons: everything about a flow's RecordBatch
-            # except the fraction payload is frozen with the binning
-            # (ids, species, cell coords, per-cell run boundaries), so
-            # it is concatenated once per rebuild and the per-step pack
-            # becomes a single gather of the current fractions —
-            # concatenating per-cell gathers equals gathering the
-            # concatenated index, element for element.
-            self._flow_static = {}
+        # Packing skeletons: everything about a flow's RecordBatch except
+        # the fraction payload is frozen with the binning (ids, species,
+        # cell coords, per-cell run boundaries), so the pack is a single
+        # gather of the current fractions — concatenating per-cell
+        # gathers equals gathering the concatenated index, element for
+        # element.  Under reuse_state the skeletons live until the next
+        # rebuild (halo cells copy out of the batch, so reuse cannot
+        # alias).
+        flows = self._flow_static if self.reuse_state else None
+        if flows is None:
+            flows = {}
             for (src, dst), cids in self._node_flows.items():
-                node = nodes[src]
-                parts = [node.cells[int(c)] for c in cids]
+                parts = [nodes[src].cells[int(c)] for c in cids]
                 occ = np.array(
                     [len(p.particle_ids) for p in parts], dtype=np.int64
                 )
-                if int(occ.sum()) == 0:
-                    self._flow_static[(src, dst)] = None
+                total = int(occ.sum())
+                if total == 0:
+                    flows[(src, dst)] = None
                     continue
-                # The payload buffer is part of the skeleton: the species
-                # column is frozen with the binning, so reused steps only
-                # gather the current fractions into columns 0..2 (halo
-                # cells copy out of the batch, so reuse cannot alias).
-                payload = np.empty((int(occ.sum()), 4))
+                payload = np.empty((total, 4))
                 payload[:, 3] = np.concatenate([p.species for p in parts])
-                self._flow_static[(src, dst)] = dict(
+                flows[(src, dst)] = dict(
                     occ=occ,
-                    starts=np.concatenate([[0], np.cumsum(occ)]),
                     pids=np.concatenate([p.particle_ids for p in parts]),
                     payload=payload,
-                    fracbuf=np.empty((int(occ.sum()), 3)),
+                    fracbuf=np.empty((total, 3)),
                     cells=np.repeat(self._cell_coords[cids], occ, axis=0),
                 )
+            if self.reuse_state:
+                self._flow_static = flows
         for (src, dst), cids in self._node_flows.items():
+            ent = flows[(src, dst)]
+            if ent is None:
+                continue
             node = nodes[src]
-            if self.reuse_state and self._flow_static is not None:
-                ent = self._flow_static[(src, dst)]
-                if ent is None:
-                    continue
-                occ = ent["occ"]
-                payload = ent["payload"]
-                np.take(self._last_frac, ent["pids"], axis=0, out=ent["fracbuf"])
-                payload[:, :3] = ent["fracbuf"]
-                batch = RecordBatch(
-                    kind="position",
-                    dst=int(dst),
-                    particle_ids=ent["pids"],
-                    cells=ent["cells"],
-                    payload=payload,
-                )
-            else:
-                parts = [node.cells[int(c)] for c in cids]
-                occ = np.array(
-                    [len(p.particle_ids) for p in parts], dtype=np.int64
-                )
-                if int(occ.sum()) == 0:
-                    continue
-                payload = np.empty((int(occ.sum()), 4))
-                payload[:, :3] = np.concatenate(
-                    [p.fractions.reshape(-1, 3) for p in parts]
-                )
-                payload[:, 3] = np.concatenate([p.species for p in parts])
-                batch = RecordBatch(
-                    kind="position",
-                    dst=int(dst),
-                    particle_ids=np.concatenate(
-                        [p.particle_ids for p in parts]
-                    ),
-                    cells=np.repeat(self._cell_coords[cids], occ, axis=0),
-                    payload=payload,
-                )
+            occ = ent["occ"]
+            payload = ent["payload"]
+            np.take(self._last_frac, ent["pids"], axis=0, out=ent["fracbuf"])
+            payload[:, :3] = ent["fracbuf"]
+            batch = RecordBatch(
+                kind="position",
+                dst=int(dst),
+                particle_ids=ent["pids"],
+                cells=ent["cells"],
+                payload=payload,
+            )
             n_pkts = batch.n_packets(rpp)
             node.packets_out += n_pkts
             self.total_position_packets += n_pkts
@@ -648,72 +604,6 @@ class DistributedMachine:
                     self._stale_halo[(int(dst), int(cid))] = (
                         self._iteration, data,
                     )
-
-    def _exchange_positions_loop(self, nodes: Dict[int, _Node]) -> None:
-        """Per-particle packet exchange (the original protocol walk)."""
-        mailboxes: Dict[int, List[Packet]] = {n: [] for n in nodes}
-        for node in nodes.values():
-            neighbor_nodes = sorted(
-                {t for cid in node.local_cells for t in self._send_targets[cid]}
-            )
-            if not neighbor_nodes:
-                continue
-            chain = P2REncapsulatorChain(
-                neighbor_nodes, self.config.records_per_packet
-            )
-            out: List[Packet] = []
-            for cid in node.local_cells:
-                targets = self._send_targets[cid]
-                if not targets:
-                    continue
-                data = node.cells[cid]
-                cell = tuple(int(c) for c in self._cell_coords[cid])
-                for pid, fq, sp in zip(
-                    data.particle_ids, data.fractions, data.species
-                ):
-                    record = Record(
-                        "position",
-                        int(pid),
-                        cell,
-                        (float(fq[0]), float(fq[1]), float(fq[2]), int(sp)),
-                    )
-                    out.extend(chain.route(record, targets))
-            out.extend(chain.flush_all())
-            node.packets_out += len(out)
-            for pkt in out:
-                mailboxes[pkt.dst].append(pkt)
-        # Arrival: unpack, convert GCID -> LCID, bucket into the halo.
-        gd = self.config.global_cells
-        ld = self.config.local_cells
-        for node in nodes.values():
-            buckets: Dict[int, List[Tuple[int, Tuple[float, ...], int]]] = {}
-            for pkt in mailboxes[node.node_id]:
-                node.packets_in += 1
-                for rec in pkt.records:
-                    # The Sec. 4.2 conversion: express the sender's global
-                    # cell in this node's homogeneous local space, then
-                    # map back to the global id for bucketing.  The LCID
-                    # round-trip is exercised (and asserted) here.
-                    lcid = gcid_to_lcid(
-                        np.asarray(rec.cell), node.node_coords, ld, gd
-                    )
-                    origin = node.node_coords * np.asarray(ld)
-                    back = tuple(int(v) for v in np.mod(lcid + origin, gd))
-                    if back != rec.cell:
-                        raise ValidationError("LCID conversion corrupted a cell id")
-                    gcid_int = int(self.grid.cell_id(np.asarray(rec.cell)))
-                    buckets.setdefault(gcid_int, []).append(
-                        (rec.particle_id, rec.payload, int(rec.payload[3]))
-                    )
-            for gcid_int, items in buckets.items():
-                node.halo[gcid_int] = _CellData(
-                    particle_ids=np.array([i[0] for i in items], dtype=np.int64),
-                    fractions=np.array(
-                        [[i[1][0], i[1][1], i[1][2]] for i in items]
-                    ),
-                    species=np.array([i[2] for i in items], dtype=np.int32),
-                )
-        self.total_position_packets += sum(n.packets_out for n in nodes.values())
 
     # -- graceful degradation ---------------------------------------------------
 
@@ -1249,34 +1139,6 @@ class DistributedMachine:
 
     # -- force evaluation -------------------------------------------------------
 
-    def _cell_view(self, node: _Node, cid: int) -> Optional[_CellData]:
-        if cid in node.cells:
-            return node.cells[cid]
-        return node.halo.get(cid)
-
-    def _pipelines(
-        self,
-        dr: np.ndarray,
-        r2: np.ndarray,
-        species_i: np.ndarray,
-        species_j: np.ndarray,
-        gi: np.ndarray,
-        gj: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """LJ pipeline plus (optionally) the Ewald pipeline.
-
-        Species come from the local/halo cell data (the position record
-        payload); charges index the global table by particle id, which
-        a hardware node would likewise carry in its position payload.
-        """
-        f, e = self.pipeline.compute(dr, r2, species_i, species_j)
-        if self.coulomb_pipeline is not None:
-            qq = self._charges32[gi] * self._charges32[gj]
-            fc, ec = self.coulomb_pipeline.compute(dr, r2, qq)
-            f = f + fc
-            e = e + ec
-        return f, e
-
     def _verify_id_conversion(
         self, local_cells, node_coords: np.ndarray
     ) -> None:
@@ -1308,143 +1170,114 @@ class DistributedMachine:
         )):
             raise ValidationError("RCID conversion mismatch")
 
-    def _evaluate_node(
-        self, node: _Node
-    ) -> Tuple[np.ndarray, float, Dict[int, List[Tuple[np.ndarray, np.ndarray]]]]:
-        """Evaluate one node's home cells against local + halo data.
+    def _node_view(self, node: _Node) -> _NodeView:
+        """A node's visible particles as the exchange delivered them.
 
-        Returns the node's private force bank (global-sized, float32),
-        its partial potential, and the neighbor-force records destined
-        for other nodes as per-owner ``(particle_ids, forces)`` array
-        segments — no shared state is touched (only static machine
-        attributes are read), so nodes evaluate concurrently in threads
-        or forked processes.
-
-        This is the pickled-``_Node`` entry point; the shared-memory
-        path reaches the same :meth:`_eval_core` through
-        :meth:`_evaluate_node_shm` with identical inputs, so both are
-        bitwise-identical by construction.
+        Local plus halo cells (stale snapshots included), concatenated
+        in ascending cell id into flat slot-ordered arrays: per-cell
+        occupancy ``counts`` (global cell ids), particle ids, quantized
+        fractions and species.
         """
-        bank = np.zeros((self.system.n, 3), dtype=np.float32)
-        self._verify_id_conversion(node.local_cells, node.node_coords)
-
-        # Concatenate visible cells (ascending cid) into bucket arrays.
-        visible = sorted(
-            list(node.cells.items()) + list(node.halo.items())
-        )
+        # Never empty: a node holds an entry for every cell it owns.
+        visible = sorted(list(node.cells.items()) + list(node.halo.items()))
         counts = np.zeros(self.grid.n_cells, dtype=np.int64)
         for cid, data in visible:
             counts[cid] = len(data.particle_ids)
-        start = np.concatenate([[0], np.cumsum(counts)])
-        if start[-1] == 0:
-            return bank, 0.0, {}
-        frac_cat = np.concatenate(
-            [d.fractions.reshape(-1, 3) for _, d in visible]
+        return _NodeView(
+            node.node_id,
+            counts,
+            np.concatenate([d.particle_ids for _, d in visible]),
+            np.concatenate([d.fractions.reshape(-1, 3) for _, d in visible]),
+            np.concatenate([d.species for _, d in visible]),
         )
-        pid_cat = np.concatenate([d.particle_ids for _, d in visible])
-        spc_cat = np.concatenate([d.species for _, d in visible])
-        potential, returns = self._eval_core(
-            node.node_id, sorted(node.local_cells), counts, start,
-            frac_cat, pid_cat, spc_cat, bank,
-        )
-        return bank, potential, returns
 
-    def _eval_core(
+    def _node_arena(self) -> _StepArena:
+        """This thread's kernel scratch (one per pool thread)."""
+        arena = getattr(self._arenas, "arena", None)
+        if arena is None:
+            arena = self._arenas.arena = _StepArena()
+        return arena
+
+    def _eval_node(
         self,
-        node_id: int,
-        local_cells,
-        counts: np.ndarray,
-        start: np.ndarray,
-        frac_cat: np.ndarray,
-        pid_cat: np.ndarray,
-        spc_cat: np.ndarray,
-        bank: np.ndarray,
-    ) -> Tuple[float, Dict[int, List[Tuple[np.ndarray, np.ndarray]]]]:
-        """Shared evaluation core for one node's flattened inputs.
+        view: _NodeView,
+        cap: int,
+        bank: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, float, Dict[int, int]]:
+        """Evaluate one node's home rows through the shared node kernel.
 
-        The node's visible cells (local + halo), already concatenated in
-        ascending-cid order into flat position-cache arrays, flow as all
-        candidate pairs of the node's plan rows through the filter and
-        pipelines in batches, like the global machine's hot path.
-        Accumulates into ``bank`` (a private array or this node's
-        shared-memory slice) and returns the partial potential plus the
-        per-owner neighbor-force segments.
+        The node runs the machine's :class:`~repro.core.machine.NodeKernel`
+        over the band pairs of its home cells' plan rows, searched in
+        its own visible fractions with the fresh path's band (no skin:
+        the lists live for this pass only).  Forces accumulate into
+        node-local banks indexed by visible slot; their sum is written
+        to ``bank`` (allocated when None).  Returns ``(bank, potential,
+        records)`` where ``records`` maps each owner node to the
+        neighbor-force records it must receive — one per (plan row,
+        touched neighbor particle), the hardware's per-block return
+        stream (zero forces are never sent).
+
+        Reads only static machine state and ``view``, so serial,
+        thread-pool and forked-process evaluation make this same call
+        and produce bitwise-identical results.
         """
+        nid = view.node_id
+        local = self._local_cells_static[nid]
+        self._verify_id_conversion(local, self._node_coords[nid])
+        ln = len(view.pids)
+        if bank is None:
+            bank = np.empty((ln, 3), dtype=np.float32)
+        bank.fill(0)
+        homes = local[view.counts[local] > 0]
+        if homes.size == 0:
+            return bank, 0.0, {}
         plan = self._plan
-        potential = np.float32(0.0)
-        returns: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
-        owner_is_local = self._cell_node == node_id
-
+        start = np.concatenate([[0], np.cumsum(view.counts)])
+        pairs = band_slot_pairs(
+            plan, start, view.counts, view.frac, _OFFS14, _FRESH_BAND,
+            homes=homes, cap=cap,
+        )
+        kernel = self._kernel
+        art = _BandArtifacts(
+            kernel,
+            pairs,
+            cap,
+            view.species,
+            None if self._charges32 is None else self._charges32[view.pids],
+        )
+        arena = self._node_arena()
+        home_bank = arena.get("node_home", 3 * ln, np.float32).reshape(ln, 3)
+        nbr_bank = arena.get("node_nbr", 3 * ln, np.float32).reshape(ln, 3)
+        home_bank.fill(0)
+        nbr_bank.fill(0)
+        uniq_per_row = np.zeros(plan.n_rows, dtype=np.int64)
+        potential = kernel.evaluate(
+            view.frac[:, 0].astype(np.float32),
+            view.frac[:, 1].astype(np.float32),
+            view.frac[:, 2].astype(np.float32),
+            art,
+            home_bank,
+            nbr_bank,
+            np.zeros(plan.n_cells, dtype=np.int64),
+            uniq_per_row,
+            resolve_backend(self.force_impl),
+            arena,
+        )
+        np.add(home_bank, nbr_bank, out=bank)
+        # Neighbor-force records of rows whose neighbor cell another
+        # node owns; local reactions stay in the bank.
         rows = (
-            np.asarray(local_cells, dtype=np.int64)[:, None]
-            * ROWS_PER_CELL
-            + np.arange(ROWS_PER_CELL, dtype=np.int64)[None, :]
+            homes[:, None] * ROWS_PER_CELL
+            + np.arange(1, ROWS_PER_CELL, dtype=np.int64)[None, :]
         ).reshape(-1)
-        n_slots = np.int64(start[-1])
-
-        backend = resolve_backend(self.force_impl)
-        for chunk in iter_pair_chunks(plan, counts, start, rows=rows):
-            if backend.screen_dr is not None:
-                # Fused gather/displacement kernel; r2 comes from the
-                # reference einsum over bitwise-identical dr, so the
-                # filter admits bit-for-bit the same pairs per node.
-                dr, r2 = backend.screen_dr(
-                    frac_cat, chunk.ii, chunk.jj, plan.offset, chunk.row
-                )
-                res = self.filter.admit_r2(r2)
-            else:
-                dr = (
-                    frac_cat[chunk.ii]
-                    - frac_cat[chunk.jj]
-                    - plan.offset[chunk.row]
-                )
-                res = self.filter.check(dr)
-            if not res.n_accepted:
-                continue
-            m = res.mask
-            ii = chunk.ii[m]
-            jj = chunk.jj[m]
-            row = chunk.row[m]
-            f, e = self._pipelines(
-                dr[m], res.r2,
-                spc_cat[ii], spc_cat[jj],
-                pid_cat[ii], pid_cat[jj],
-            )
-            scatter_add(bank, pid_cat[ii], f)
-            potential += e.sum(dtype=np.float32)
-            # Reaction forces: straight into the bank when the neighbor
-            # particle lives on this node, else per-(block, particle)
-            # records returned to the owner.
-            keep = plan.is_self[row] | owner_is_local[plan.nbr[row]]
-            if keep.any():
-                scatter_add(bank, pid_cat[jj[keep]], -f[keep])
-            rem = ~keep
-            if rem.any():
-                # One record per (plan row, neighbor particle), forces
-                # coalesced — chunks carry whole rows, so per-chunk
-                # grouping is per-block exact; ascending keys preserve
-                # the (home cell, offset, slot) record order of the
-                # hardware's return stream.
-                keys, inv = np.unique(
-                    row[rem] * n_slots + jj[rem], return_inverse=True
-                )
-                fr = np.zeros((len(keys), 3), dtype=np.float32)
-                scatter_add(fr, inv, -f[rem])
-                urow = keys // n_slots
-                uslot = keys % n_slots
-                owners = self._cell_node[plan.nbr[urow]]
-                upid = pid_cat[uslot]
-                # Segment the ascending-key records by owning node:
-                # stable sort keeps the hardware's return-stream order
-                # within each owner's segment.
-                osort = np.argsort(owners, kind="stable")
-                so = owners[osort]
-                bounds = np.flatnonzero(np.diff(so)) + 1
-                for seg in np.split(osort, bounds):
-                    returns.setdefault(int(owners[seg[0]]), []).append(
-                        (upid[seg], fr[seg])
-                    )
-        return float(potential), returns
+        owners = self._cell_node[plan.nbr[rows]]
+        remote = owners != nid
+        per_owner = np.bincount(
+            owners[remote], weights=uniq_per_row[rows[remote]],
+            minlength=self.config.n_fpgas,
+        )
+        records = {int(o): int(r) for o, r in enumerate(per_owner) if r}
+        return bank, float(potential), records
 
     # -- zero-copy shared-memory evaluation -------------------------------------
 
@@ -1452,14 +1285,14 @@ class DistributedMachine:
         """Create the shared position/bank/metadata segments (once).
 
         Segment sizes are static for the machine's life: fractions
-        ``(N, 3)`` float64, per-node force banks ``(n_fpgas, N, 3)``
-        float32, per-node visible-cell counts ``(n_fpgas, n_cells)``
-        int64, and a particle-id catalog sized by the provable bound
+        ``(N, 3)`` float64, per-node visible-cell counts ``(n_fpgas,
+        n_cells)`` int64, and a particle-id catalog with its aligned
+        float32 force-bank catalog, both sized by the provable bound
         ``N * (1 + max destinations per cell)`` (each cell's particles
         appear once locally plus at most once per destination node of
         its send flows).  Creation shuts any existing pool down so the
         next fork inherits the mappings; failure (no POSIX shared
-        memory) degrades permanently to the pickled-``_Node`` path.
+        memory) degrades permanently to the pickled-view path.
         """
         if self._shm_ok is not None:
             return self._shm_ok
@@ -1485,7 +1318,7 @@ class DistributedMachine:
                 (n, 3), dtype=np.float64, buffer=seg(n * 3 * 8).buf
             )
             self._shm_banks = np.ndarray(
-                (nf, n, 3), dtype=np.float32, buffer=seg(nf * n * 3 * 4).buf
+                (cap, 3), dtype=np.float32, buffer=seg(cap * 3 * 4).buf
             )
             self._shm_counts = np.ndarray(
                 (nf, nc), dtype=np.int64, buffer=seg(nf * nc * 8).buf
@@ -1519,15 +1352,15 @@ class DistributedMachine:
                 pass
         self._shm_ok = None
 
-    def _pack_shm(self, nodes: Dict[int, _Node]) -> List[Tuple[int, int, int]]:
+    def _pack_shm(self, views: List[_NodeView]) -> List[Tuple[int, int, int]]:
         """Refresh the shared segments for this force pass.
 
         The fraction segment is copied in place every step; the
-        partition metadata (per-node visible-cell counts + concatenated
-        particle ids, ascending cid — exactly the flattening
-        :meth:`_evaluate_node` performs) is rewritten only when the cell
-        assignment changed since the last pack.  Returns the tiny
-        per-node ``(node_id, pid_offset, pid_len)`` task tuples.
+        partition metadata (per-node visible-cell counts + the
+        concatenated particle ids of :meth:`_node_view`) is rewritten
+        only when the cell assignment changed since the last pack.
+        Returns the tiny per-node ``(node_id, pid_offset, pid_len)``
+        task tuples.
         """
         np.copyto(self._shm_frac, self._last_frac)
         if self._shm_tasks is not None and np.array_equal(
@@ -1536,63 +1369,48 @@ class DistributedMachine:
             return self._shm_tasks
         tasks: List[Tuple[int, int, int]] = []
         off = 0
-        for nid in sorted(nodes):
-            node = nodes[nid]
-            visible = sorted(
-                list(node.cells.items()) + list(node.halo.items())
-            )
-            cnt_row = self._shm_counts[nid]
-            cnt_row.fill(0)
-            lo = off
-            for cid, data in visible:
-                k = len(data.particle_ids)
-                cnt_row[cid] = k
-                self._shm_pids[off:off + k] = data.particle_ids
-                off += k
-            tasks.append((nid, lo, off - lo))
+        for view in views:
+            ln = len(view.pids)
+            self._shm_counts[view.node_id] = view.counts
+            self._shm_pids[off:off + ln] = view.pids
+            tasks.append((view.node_id, off, ln))
+            off += ln
         self._shm_meta_cids = self._last_cids.copy()
         self._shm_tasks = tasks
         return tasks
 
-    def _evaluate_node_shm(
-        self, task: Tuple[int, int, int]
-    ) -> Tuple[int, float, Dict[int, List[Tuple[np.ndarray, np.ndarray]]]]:
-        """Worker-side evaluation against the shared segments.
+    def _eval_node_shm(
+        self, task: Tuple[int, int, int], cap: int
+    ) -> Tuple[float, Dict[int, int]]:
+        """Worker-side :meth:`_eval_node` against the shared segments.
 
-        Reconstructs exactly the flattened inputs of
-        :meth:`_evaluate_node` — without an injector every halo fraction
-        equals ``frac[pid]`` of the sender and every halo species equals
-        ``system.species[pid]``, so the global gathers reproduce the
-        per-cell concatenation bit for bit — and accumulates into this
-        node's shared bank slice instead of returning a pickled array.
+        Rebuilds exactly the view of :meth:`_node_view` — without an
+        injector every halo fraction equals ``frac[pid]`` of the sender
+        and every halo species equals ``system.species[pid]`` — and
+        writes the node's bank into its slice of the shared catalog
+        instead of returning a pickled array.
         """
         nid, off, ln = task
-        counts = self._shm_counts[nid]
-        bank = self._shm_banks[nid]
-        bank.fill(0)
-        local_cells = self._local_cells_static[nid]
-        self._verify_id_conversion(local_cells, self._node_coords[nid])
-        if ln == 0:
-            return nid, 0.0, {}
-        start = np.concatenate([[0], np.cumsum(counts)])
-        pid_cat = self._shm_pids[off:off + ln]
-        frac_cat = self._shm_frac[pid_cat]
-        spc_cat = self.system.species[pid_cat]
-        potential, returns = self._eval_core(
-            nid, local_cells, counts, start,
-            frac_cat, pid_cat, spc_cat, bank,
+        pids = self._shm_pids[off:off + ln]
+        view = _NodeView(
+            nid, self._shm_counts[nid], pids, self._shm_frac[pids],
+            self.system.species[pids],
         )
-        return nid, potential, returns
+        _, potential, records = self._eval_node(
+            view, cap, self._shm_banks[off:off + ln]
+        )
+        return potential, records
 
     def _get_executor(self):
         """Build (once) and return the evaluation pool for this machine.
 
         ``"thread"``/``True`` gets a thread pool; ``"process"`` a forked
         process pool.  Forked workers inherit the machine by reference
-        at fork time; :meth:`_evaluate_node` reads only *static* machine
-        state (geometry, plan, filter, pipelines) — all per-step state
-        travels inside the pickled ``_Node`` — so the workers stay valid
-        for the machine's whole life and the pool is reused across steps.
+        at fork time; :meth:`_eval_node` reads only *static* machine
+        state (geometry, plan, kernel) — all per-step state travels in
+        the node view or the shared segments — so the workers stay
+        valid for the machine's whole life and the pool is reused
+        across steps.
         """
         kind = "process" if self.parallel == "process" else "thread"
         if self._executor is not None and self._executor_kind == kind:
@@ -1655,26 +1473,31 @@ class DistributedMachine:
         with self.timings.phase("exchange"):
             self._exchange_positions(nodes)
         self._iteration += 1
-        node_list = [nodes[n] for n in sorted(nodes)]
         with self.timings.phase("force"):
-            results = self._evaluate_all(nodes, node_list)
-            potential = self._merge_results(node_list, results)
+            views = [self._node_view(nodes[n]) for n in sorted(nodes)]
+            results = self._evaluate_all(views)
+            potential = self._merge_results(views, results)
         self._last_potential = potential
         return self._last_potential
 
-    def _evaluate_all(self, nodes: Dict[int, _Node], node_list: List[_Node]):
+    def _evaluate_all(
+        self, views: List[_NodeView]
+    ) -> List[Tuple[np.ndarray, float, Dict[int, int]]]:
         """Evaluate every node serially or on the configured pool.
 
-        ``parallel="process"`` without a fault injector takes the
-        zero-copy route: only ``(node_id, offset, length)`` tuples cross
-        the pipe; fractions travel through the shared position segment
-        and each node's bank comes back through its shared slice.  With
-        an injector the halo can degrade to stale snapshots (which the
-        shared gather cannot reproduce), so the pickled-``_Node`` oracle
-        path runs instead.
+        Every mode makes the same :meth:`_eval_node` call per node with
+        one pass-wide bucket ``cap``.  ``parallel="process"`` without a
+        fault injector takes the zero-copy route: only ``(node_id,
+        offset, length)`` tuples cross the pipe; fractions travel
+        through the shared position segment and each node's bank comes
+        back through its slice of the shared bank catalog.  With an
+        injector the halo can degrade to stale snapshots (which the
+        shared gather cannot reproduce), so the views are pickled
+        instead.
         """
+        cap = max(int(v.counts.max()) for v in views)
         if not self.parallel:
-            return [self._evaluate_node(node) for node in node_list]
+            return [self._eval_node(v, cap) for v in views]
         use_shm = (
             self.parallel == "process"
             and self.injector is None
@@ -1682,62 +1505,39 @@ class DistributedMachine:
         )
         pool = self._get_executor()
         if self._executor_kind != "process":
-            return list(pool.map(self._evaluate_node, node_list))
+            return list(pool.map(lambda v: self._eval_node(v, cap), views))
         if use_shm:
-            tasks = self._pack_shm(nodes)
+            tasks = self._pack_shm(views)
+            done = pool.map(_fork_eval_node_shm, [(t, cap) for t in tasks])
             return [
-                (self._shm_banks[nid], pot, rets)
-                for nid, pot, rets in pool.map(_fork_eval_node_shm, tasks)
+                (self._shm_banks[off:off + ln], pot, recs)
+                for (_, off, ln), (pot, recs) in zip(tasks, done)
             ]
-        return list(pool.map(_fork_eval_node, node_list))
+        return list(pool.map(_fork_eval_node, [(v, cap) for v in views]))
 
-    def _merge_results(self, node_list: List[_Node], results) -> float:
-        # Deterministic merge in node-id order (independent of worker
-        # scheduling): sum banks, apply returned neighbor forces.
-        home_bank = np.zeros((self.system.n, 3), dtype=np.float32)
+    def _merge_results(self, views: List[_NodeView], results) -> float:
+        """Sum the node banks and account the force-return packets.
+
+        Deterministic in node-id order, independent of worker
+        scheduling: each node's bank adds onto its visible particles
+        (local rows are its own forces, halo rows the neighbor forces
+        it returns to their owners), and each owner receives
+        ``ceil(records / records_per_packet)`` force packets.
+        """
+        forces = np.zeros((self.system.n, 3), dtype=np.float32)
         potential = np.float32(0.0)
-        return_records: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {
-            n.node_id: [] for n in node_list
-        }
-        for bank, pot, returns in results:
-            home_bank += bank
+        records = np.zeros(self.config.n_fpgas, dtype=np.int64)
+        for view, (bank, pot, recs) in zip(views, results):
+            scatter_add(forces, view.pids, bank)
             potential += np.float32(pot)
-            for owner, segments in returns.items():
-                return_records[owner].extend(segments)
-        # Force return: apply each arriving segment in order and account
-        # its packets.  Segments from one evaluating node never repeat a
-        # (block, particle) key, so within a segment the scatter is
-        # collision-ordered exactly like the per-record loop was.
-        for node in node_list:
-            n_records = 0
-            for pids, fvecs in return_records[node.node_id]:
-                scatter_add(home_bank, pids, fvecs)
-                n_records += len(pids)
-            if n_records:
-                self.total_force_packets += int(
-                    np.ceil(n_records / self.config.records_per_packet)
-                )
-        self._forces32 = home_bank
+            for owner, n_records in recs.items():
+                records[owner] += n_records
+        rpp = self.config.records_per_packet
+        self.total_force_packets += int(sum(-(-r // rpp) for r in records))
+        self._forces32 = forces
         return float(potential)
 
     # -- integration ------------------------------------------------------------
-
-    @property
-    def forces(self) -> np.ndarray:
-        return self._forces32
-
-    @property
-    def velocities(self) -> np.ndarray:
-        return self._velocities32
-
-    def kinetic_energy(self) -> float:
-        v = self._velocities32.astype(np.float64)
-        ke = 0.5 * float(np.sum(self.system.masses * np.sum(v * v, axis=1)))
-        return ke / KCAL_MOL_TO_INTERNAL
-
-    def _accel32(self, forces: np.ndarray) -> np.ndarray:
-        factor = (KCAL_MOL_TO_INTERNAL / self.system.masses).astype(np.float32)
-        return forces * factor[:, None]
 
     def step(self) -> float:
         """One distributed timestep (identical integrator to the machine)."""

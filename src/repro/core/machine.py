@@ -50,8 +50,12 @@ from repro.md.pairplan import (
     iter_pair_chunks,
     plan_for_grid,
 )
-from repro.md.cellstate import CellState, machine_pack_fn
-from repro.md.backends import resolve_backend, traffic_flat_numpy
+from repro.md.cellstate import CellState, band_slot_pairs, machine_pack_fn
+from repro.md.backends import (
+    admit_flat_numpy,
+    resolve_backend,
+    traffic_flat_numpy,
+)
 from repro.md.reference import _padded_viable
 from repro.md.engine import EnergyRecord
 from repro.md.system import ParticleSystem
@@ -144,6 +148,11 @@ _OFFS14 = np.concatenate(
     [np.zeros((1, 3)), np.asarray(HALF_SHELL_OFFSETS, dtype=np.float64)]
 )
 
+#: Squared-distance band of a fresh (skinless) padded candidate search:
+#: the normalized cutoff 1 plus a conservative float32 margin — the
+#: band only ever admits *extra* candidates to the exact recheck.
+_FRESH_BAND = 1.0 + 1e-3
+
 
 def _scatter_cols(bank, idx, wx, wy, wz, n):
     """Column-wise bincount scatter, bitwise-equal to
@@ -184,55 +193,43 @@ class _StepArena:
         return buf[:n]
 
 
-class _MachineArtifacts:
-    """Per-build reuse artifacts over one CellState's band lists.
+class _BandArtifacts:
+    """Per-band inputs of the :class:`NodeKernel` over one band pair list.
 
-    Everything here is a pure function of the band pair list, the bucket
-    order and the (fixed) species/charges — valid until the next
-    rebuild.  Pre-gathering the global particle ids, per-pair LJ
-    coefficients and Coulomb charge products turns the per-step work
-    into sequential passes over flat arrays; the preallocated scratch
-    buffers make the displacement/r2 phase allocation-free.
+    Everything here is a pure function of the band pair list, the slot
+    layout and the (fixed) species/charges: the machine keeps it until
+    its next cell-state rebuild, a distributed node for one pass.
+    Banks are indexed by *slot* (bucket position), so the band's own
+    slot indices ``A``/``B`` address them directly; ``CJ`` keys the
+    neighbor-side bucket slot for the unique-record statistics.
+    Per-pair LJ coefficients and Coulomb charge products are
+    pre-gathered only when the box needs them.
     """
 
     __slots__ = (
-        "segs",
-        "A",
-        "B",
-        "CC",
-        "CJ",
-        "II",
-        "JJ",
-        "scalar_coeffs",
-        "c14p",
-        "c8p",
-        "c12p",
-        "c6p",
-        "qqp",
-        "dx",
-        "dy",
-        "dz",
-        "tf",
-        "r2f",
-        "idx64",
-        "present",
+        "segs", "A", "B", "CC", "CJ", "cap",
+        "scalar_coeffs", "c14p", "c8p", "c12p", "c6p", "qqp",
     )
 
-    def __init__(self, machine: "FasdaMachine", state: CellState):
-        pairs = state.pairs
-        order = state.clist.order
+    def __init__(
+        self,
+        kernel: "NodeKernel",
+        pairs,
+        cap: int,
+        species_s: np.ndarray,
+        charges_s: Optional[np.ndarray],
+    ):
         self.segs = pairs.segs
         self.A = pairs.a
         self.B = pairs.b
         self.CC = pairs.c
-        self.CJ = pairs.c * state.cap + pairs.js
-        self.II = order[pairs.a]
-        self.JJ = order[pairs.b]
-        pipe = machine.pipeline
+        self.CJ = pairs.c * cap + pairs.js
+        self.cap = cap
+        pipe = kernel.pipeline
         # Single-species boxes (the paper's workload) have constant
         # coefficient ROMs: multiplying by the float32 scalar is
         # bitwise-equal to multiplying by the gathered constant array,
-        # and skips four L-sized gathers per rebuild.
+        # and skips four L-sized gathers per build.
         self.scalar_coeffs = pipe._c14.size == 1
         if self.scalar_coeffs:
             self.c14p = pipe._c14.reshape(())[()]
@@ -240,541 +237,141 @@ class _MachineArtifacts:
             self.c12p = pipe._c12.reshape(())[()]
             self.c6p = pipe._c6.reshape(())[()]
         else:
-            spc = machine.system.species
-            si = spc[self.II]
-            sj = spc[self.JJ]
+            si = species_s[self.A]
+            sj = species_s[self.B]
             self.c14p = pipe._c14[si, sj]
             self.c8p = pipe._c8[si, sj]
             self.c12p = pipe._c12[si, sj]
             self.c6p = pipe._c6[si, sj]
         self.qqp = None
-        if machine.coulomb_pipeline is not None:
-            self.qqp = machine._charges32[self.II] * machine._charges32[self.JJ]
-        L = pairs.n_pairs
-        self.dx = np.empty(L, dtype=np.float32)
-        self.dy = np.empty(L, dtype=np.float32)
-        self.dz = np.empty(L, dtype=np.float32)
-        self.tf = np.empty(L, dtype=np.float32)
-        self.r2f = np.empty(L, dtype=np.float32)
-        # Admitted-index output for compiled admit kernels (allocated on
-        # first use — the numpy paths never need it) and the bucket-slot
-        # presence bits of the unique-record statistics.
-        self.idx64 = None
-        self.present = np.zeros(
-            machine._plan.n_cells * state.cap, dtype=bool
-        )
+        if kernel.coulomb_pipeline is not None:
+            self.qqp = charges_s[self.A] * charges_s[self.B]
 
 
-class FasdaMachine:
-    """Functional + statistical simulator of a FASDA deployment.
+class NodeKernel:
+    """The CBB filter + force pipeline over band pair lists.
 
-    Parameters
-    ----------
-    config:
-        The machine configuration (design point).
-    system:
-        Particle system to simulate; if None, the paper's dataset is
-        generated for ``config.global_cells``.  The system is copied —
-        the caller's arrays are never mutated.
-    seed:
-        Dataset seed when ``system`` is None.
+    One instance per machine, shared by every caller of the datapath:
+    :class:`FasdaMachine` evaluates the whole box through it and every
+    :class:`~repro.core.distributed.DistributedMachine` node evaluates
+    its home rows through it (paper Sec. 4: every FPGA runs the same
+    filter-and-pipeline datapath).  :meth:`evaluate` walks one band
+    list through admission (``admit_flat``), the ROM pipelines
+    (``rom_eval`` or the numpy sequence) and the order-sensitive
+    reductions (``scatter_cols`` or the bincount helper); the compiled
+    and numpy branches are bitwise identical.
     """
 
-    def __init__(
+    def __init__(self, pipeline, tables, r2_min: float, coulomb_pipeline=None):
+        self.pipeline = pipeline
+        self.tables = tables
+        self.r2_min = r2_min
+        self.coulomb_pipeline = coulomb_pipeline
+        # Flattened float32 coefficient ROM images: evaluate_f32_at
+        # casts the gathered float64 coefficients per call; casting the
+        # whole table once and gathering from the f32 image yields
+        # bitwise-identical values (f64->f32 rounding commutes with the
+        # gather) without per-step cast passes.
+
+        def flat(t):
+            return (
+                t._a.astype(np.float32).ravel(),
+                t._b.astype(np.float32).ravel(),
+            )
+
+        self.roms = {a: flat(t) for a, t in tables.tables.items()}
+        if coulomb_pipeline is not None:
+            self.roms["coulomb_f"] = flat(coulomb_pipeline.force_table)
+            self.roms["coulomb_e"] = flat(coulomb_pipeline.energy_table)
+
+    def evaluate(
         self,
-        config: MachineConfig,
-        system: Optional[ParticleSystem] = None,
-        seed: int = 2023,
-    ):
-        self.config = config
-        self.grid = CellGrid(config.global_cells, config.cutoff)
-        if system is None:
-            system, _ = build_dataset(
-                config.global_cells, cutoff=config.cutoff, seed=seed
-            )
-        if not np.allclose(system.box, self.grid.box):
-            raise ConfigError(
-                f"system box {system.box} does not match config box {self.grid.box}"
-            )
-        self.system = system.copy()
-        # Hardware state widths: velocities and forces are float32
-        # (VC/FC are 32-bit), positions are fixed-point per cell.
-        self._velocities32 = self.system.velocities.astype(np.float32)
-        self._forces32 = np.zeros_like(self._velocities32)
-        self.fmt = FixedPointFormat(frac_bits=config.frac_bits)
-        self.tables = ForceTableSet(n_s=config.table_ns, n_b=config.table_nb)
-        self.filter = PairFilter(self.tables.r2_min)
-        self.pipeline = ForcePipeline(
-            self.system.lj_table, config.cutoff, self.tables
-        )
-        # Optional second pipeline: the short-range Ewald electrostatic
-        # term, structurally identical table lookup with a different ROM
-        # image (paper Secs. 2.1, 3.4).
-        self.coulomb_pipeline = None
-        self._charges32 = None
-        if config.force_model == "lj+coulomb":
-            from repro.core.datapath import TabulatedRadialPipeline
-            from repro.md.ewald import (
-                choose_beta,
-                ewald_real_energy_scalar,
-                ewald_real_scalar,
-            )
-
-            self.ewald_beta = choose_beta(config.cutoff, config.ewald_tolerance)
-            beta = self.ewald_beta
-            self.coulomb_pipeline = TabulatedRadialPipeline.from_physical(
-                lambda r2: ewald_real_scalar(r2, beta),
-                lambda r2: ewald_real_energy_scalar(r2, beta),
-                cutoff=config.cutoff,
-                n_s=config.table_ns,
-                n_b=config.table_nb,
-            )
-            self._charges32 = self.system.charges.astype(np.float32)
-        # Static geometry: cell -> owning node.
-        self._cell_coords = self.grid.cell_coords(
-            np.arange(self.grid.n_cells, dtype=np.int64)
-        )
-        node_coords = node_of_cell(self._cell_coords, config.local_cells)
-        fg = config.fpga_grid
-        self._cell_node = (
-            node_coords[:, 0] * fg[1] * fg[2]
-            + node_coords[:, 1] * fg[2]
-            + node_coords[:, 2]
-        )
-        # Local ring slot per cell (EX node occupies the last slot).
-        order = cbb_ring_order(config.local_cells)
-        local_index = {c: i for i, c in enumerate(order)}
-        local_coords = self._cell_coords - node_coords * np.asarray(
-            config.local_cells
-        )
-        self._cell_ring_slot = np.array(
-            [local_index[tuple(c)] for c in local_coords], dtype=np.int64
-        )
-        self._ring_slots = config.cells_per_fpga + 1  # + EX
-        self._ex_slot = config.cells_per_fpga
-        # Static half-shell topology: the shared (cached) pair plan
-        # carries every (home, neighbor, shift) triple as flat arrays.
-        self._plan = plan_for_grid(self.grid)
-        self._neighbor_cids = self._plan.neighbor_ids
-        #: Pair enumeration path: "auto" (padded fast path when the box
-        #: is dense enough, else chunked), "padded", or "chunked".  Both
-        #: paths admit bitwise-identical pair sets.
-        self.pair_path = "auto"
-        #: Traffic accounting implementation: "vectorized" (group-by
-        #: passes) or "loop" (the retained per-row oracle).
-        self.traffic_impl = "vectorized"
-        #: Force backend (see :mod:`repro.md.backends`): ``None`` uses
-        #: the process-wide default, ``"numpy"`` the inline reference
-        #: code, ``"soa"``/``"numba"``/``"cext"`` a fused admission
-        #: kernel.  The float64 recheck through
-        #: :meth:`~repro.core.datapath.PairFilter.admit_r2` (and its
-        #: arithmetic restatements) stays authoritative on every
-        #: backend, so admissions, statistics, traffic and the
-        #: potential are **bitwise identical** across backends.
-        self.force_impl: Optional[str] = None
-        #: Step-persistent cell state (PR 4): when True, binning and the
-        #: padded candidate search are amortized across steps through a
-        #: skin-banded :class:`~repro.md.cellstate.CellState`, rebuilt on
-        #: the skin/2 displacement criterion or any cell reassignment.
-        #: Forces, energies and all workload statistics stay bitwise
-        #: identical to the rebuild-every-step path (the retained
-        #: oracle).  Honored only where the fresh path would take the
-        #: padded broadcast; ``pair_path="chunked"`` disables it.
-        self.reuse_state = False
-        #: Skin margin (angstrom) for the persistent state's band lists.
-        self.reuse_skin = 0.15 * config.cutoff
-        self._cell_state = None
-        self._rom32_cache = None
-        #: Per-phase wall-clock counters (build/force/traffic/ring/
-        #: integrate), off by default; enable with
-        #: ``machine.timings.enabled = True``.  ``ring`` time is charged
-        #: inside the ``traffic`` phase.
-        self.timings = StepTimings()
-        # Persistent per-step force banks and the named scratch arena:
-        # a reuse-path step performs no large allocations (see
-        # DESIGN.md §13).
-        self._home_bank: Optional[np.ndarray] = None
-        self._nbr_bank: Optional[np.ndarray] = None
-        self._arena = _StepArena()
-        self.history: List[EnergyRecord] = []
-        self._primed = False
-        self._last_potential = 0.0
-        self.last_stats: Optional[StepStats] = None
-        #: Migration accounting from the most recent step (MU-ring load).
-        self.last_migrations = None
-
-    # -- force evaluation ------------------------------------------------------
-
-    def _pipelines(
-        self,
-        dr: np.ndarray,
-        r2: np.ndarray,
-        gi: np.ndarray,
-        gj: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """All force pipelines over one admitted pair block.
-
-        The LJ pipeline always runs; with ``force_model="lj+coulomb"``
-        the Ewald pipeline consumes the *same* filtered pairs — in
-        hardware the two pipelines sit side by side behind one filter
-        bank, which is why the paper calls them "nearly identical".
-        """
-        spc = self.system.species
-        f, e = self.pipeline.compute(dr, r2, spc[gi], spc[gj])
-        if self.coulomb_pipeline is not None:
-            qq = self._charges32[gi] * self._charges32[gj]
-            fc, ec = self.coulomb_pipeline.compute(dr, r2, qq)
-            f = f + fc
-            e = e + ec
-        return f, e
-
-    def compute_forces(self, collect_traffic: bool = True) -> StepStats:
-        """One full force-evaluation pass through the modeled datapath.
-
-        Updates the internal float32 force banks and returns workload
-        statistics.  Does not advance time.
-
-        Dense boxes (the paper's 64-per-cell workload) take the
-        padded-broadcast fast path: candidate squared distances come
-        from batched per-cell float32 matmuls, a conservative band keeps
-        every possible admission, and only the ~15% of survivors are
-        rebuilt as exact fixed-point displacements and pushed through
-        the real :class:`~repro.core.datapath.PairFilter` — so the
-        admitted pair set, every ``dr``/``r2`` entering the pipelines,
-        and all integer workload statistics are bit-identical to the
-        chunked enumeration (``pair_path="chunked"``), which remains the
-        fallback for sparse or skewed occupancies.  Traffic accounting
-        runs as vectorized group-by passes (``traffic_impl="loop"``
-        selects the retained per-row oracle).
-        """
-        cfg = self.config
-        grid = self.grid
-        plan = self._plan
-        pos = self.system.positions
-        n = self.system.n
-        n_cells = grid.n_cells
-        with self.timings.phase("build"):
-            state = self._ensure_cell_state(pos) if self.reuse_state else None
-            if state is not None:
-                clist = state.clist
-                coords = state.coords
-            else:
-                clist = CellList(grid, pos)
-                coords = grid.coords_of_positions(pos)
-            frac = quantize_cell_fractions(pos, coords, cfg.cutoff, self.fmt)
-
-        # Persistent force banks (zeroed in place each pass) — the two
-        # largest per-step arrays; their adder-tree sum below still
-        # produces a fresh array so returned force snapshots stay valid.
-        if self._home_bank is None or len(self._home_bank) != n:
-            self._home_bank = np.zeros((n, 3), dtype=np.float32)
-            self._nbr_bank = np.zeros((n, 3), dtype=np.float32)
-        else:
-            self._home_bank.fill(0)
-            self._nbr_bank.fill(0)
-        home_bank = self._home_bank
-        nbr_bank = self._nbr_bank
-        candidates = candidates_per_cell(plan, clist.counts)
-        accepted = np.zeros(n_cells, dtype=np.int64)
-        # Unique neighbor particles touched per plan row — the per-block
-        # force-return record counts of the hardware (zero forces and
-        # duplicate touches within a block are coalesced).
-        uniq_per_row = np.zeros(plan.n_rows, dtype=np.int64)
-
-        with self.timings.phase("force"):
-            if state is not None:
-                potential = self._eval_reuse(
-                    state, frac, home_bank, nbr_bank, accepted, uniq_per_row
-                )
-            else:
-                use_padded = self.pair_path != "chunked" and (
-                    self.pair_path == "padded" or _padded_viable(plan, clist)
-                )
-                if use_padded:
-                    potential = self._eval_padded(
-                        clist, frac, home_bank, nbr_bank, accepted,
-                        uniq_per_row,
-                    )
-                else:
-                    potential = self._eval_chunked(
-                        clist, frac, home_bank, nbr_bank, accepted,
-                        uniq_per_row,
-                    )
-
-        nbr_frc_records = np.zeros(n_cells, dtype=np.int64)
-        scatter_add(nbr_frc_records, plan.home, uniq_per_row)
-
-        occupancy = clist.occupancies()
-        if collect_traffic:
-            account = (
-                self._account_traffic_loop
-                if self.traffic_impl == "loop"
-                else self._account_traffic
-            )
-            with self.timings.phase("traffic"):
-                position_records, force_records, pr_models, fr_models = (
-                    account(clist.counts, occupancy, uniq_per_row)
-                )
-        else:
-            position_records = {}
-            force_records = {}
-            pr_models = {
-                n_: RingLoadModel(RingPath(self._ring_slots, +1))
-                for n_ in range(cfg.n_fpgas)
-            }
-            fr_models = {
-                n_: RingLoadModel(RingPath(self._ring_slots, -1))
-                for n_ in range(cfg.n_fpgas)
-            }
-
-        # Adder-tree combination of the FC banks (Sec. 4.5).
-        self._forces32 = home_bank + nbr_bank
-
-        stats = StepStats(
-            candidates_per_cell=candidates,
-            accepted_per_cell=accepted,
-            occupancy_per_cell=occupancy.copy(),
-            potential_energy=float(potential),
-            position_records=position_records,
-            force_records=force_records,
-            pr_load={n: RingLoadSummary.from_model(m) for n, m in pr_models.items()},
-            fr_load={n: RingLoadSummary.from_model(m) for n, m in fr_models.items()},
-            neighbor_force_records_per_cell=nbr_frc_records,
-            timings=self.timings.snapshot(),
-        )
-        if self.reuse_state:
-            cs = self._cell_state
-            stats.state_builds = cs.builds if cs is not None else 0
-            stats.state_reused = state is not None and not state.last_rebuilt
-        self.last_stats = stats
-        return stats
-
-    # -- step-persistent state (PR 4) ------------------------------------------
-
-    def ensure_cell_state(self) -> CellState:
-        """Create (once) and return the persistent :class:`CellState`.
-
-        Creation alone does not build the band lists (the next force
-        pass does); checkpoint restore uses this to reattach the reuse
-        counters without paying an immediate build.
-        """
-        if self._cell_state is None:
-            self._cell_state = CellState(
-                self.grid,
-                self._plan,
-                self.reuse_skin,
-                machine_pack_fn(
-                    self.fmt, self.config.cutoff, self.reuse_skin, self.grid
-                ),
-            )
-        return self._cell_state
-
-    def _ensure_cell_state(self, pos: np.ndarray) -> Optional[CellState]:
-        """Bring the persistent :class:`CellState` up to date, or decline.
-
-        Returns the state when the reuse path applies this step, else
-        None (``pair_path="chunked"``, or the fresh auto path would not
-        take the padded broadcast for this box — the band lists are the
-        padded search's, so reuse only ever replaces the padded path).
-        """
-        if self.pair_path == "chunked":
-            return None
-        state = self.ensure_cell_state()
-        if state.ensure(pos):
-            state.artifacts["usable"] = self.pair_path == "padded" or _padded_viable(
-                self._plan, state.clist
-            )
-        return state if state.artifacts.get("usable") else None
-
-    def _rom32(self) -> Dict[object, Tuple[np.ndarray, np.ndarray]]:
-        """Flattened float32 coefficient ROM images, built once.
-
-        ``evaluate_f32_at`` casts the gathered float64 coefficients per
-        call; casting the whole table once and gathering from the f32
-        image yields bitwise-identical values (f64->f32 rounding commutes
-        with the gather) without the per-step cast passes.
-        """
-        if self._rom32_cache is None:
-
-            def flat(t):
-                return (
-                    t._a.astype(np.float32).ravel(),
-                    t._b.astype(np.float32).ravel(),
-                )
-
-            roms = {a: flat(t) for a, t in self.tables.tables.items()}
-            if self.coulomb_pipeline is not None:
-                roms["coulomb_f"] = flat(self.coulomb_pipeline.force_table)
-                roms["coulomb_e"] = flat(self.coulomb_pipeline.energy_table)
-            self._rom32_cache = roms
-        return self._rom32_cache
-
-    def _eval_reuse(
-        self,
-        state: CellState,
-        frac: np.ndarray,
+        fsx: np.ndarray,
+        fsy: np.ndarray,
+        fsz: np.ndarray,
+        art: _BandArtifacts,
         home_bank: np.ndarray,
         nbr_bank: np.ndarray,
         accepted: np.ndarray,
         uniq_per_row: np.ndarray,
+        backend,
+        arena: "_StepArena",
     ) -> np.float32:
-        """Datapath pass over the persistent skin-banded pair lists.
+        """Datapath pass over one band list; returns the float32 potential.
 
-        Bitwise-identical to :meth:`_eval_padded` on the same positions:
-        the band lists hold, per offset ``k`` and in the fresh path's
-        flat enumeration order, a superset of anything the fresh band
-        can pass, and the float32 cutoff test here is exactly the
-        :meth:`~repro.core.datapath.PairFilter.admit_r2` admission — so
-        the admitted pair *sequences*, every pipeline input, and the
-        per-offset accumulation grouping all coincide with a fresh
-        build's.  The pipeline math is restated over pre-gathered
-        per-pair coefficients and pre-cast ROM images (see
-        :class:`_MachineArtifacts`); every restatement is a bitwise
-        no-op: quantized fraction differences are exact in float32, the
-        exact float64 ``r2`` is formed with ``dtype=np.float64``
-        multiplies of those exact differences, the section/bin decode
-        reads the same indices straight from the float32 bit fields
-        (power-of-two ``n_b``), and the per-column bincount scatters are
-        :func:`~repro.md.kernels.scatter_add`'s own definition.
+        ``fsx/fsy/fsz`` are the float32 quantized fractions in slot
+        order; home/neighbor forces accumulate into the slot-indexed
+        ``home_bank``/``nbr_bank``, per-cell admissions into
+        ``accepted`` and unique neighbor records per plan row into
+        ``uniq_per_row``.  Scratch comes from ``arena``.
+
+        Any band list works — a persistent skin-banded one or a fresh
+        skinless search: each holds, per offset ``k`` and in ascending
+        flat (cell, slot_i, slot_j) order, a superset of the admissible
+        pairs, and the float32 cutoff test of ``admit_flat`` is exactly
+        the :meth:`~repro.core.datapath.PairFilter.admit_r2` admission
+        of the chunked oracle — so the admitted pair *sequence*, every
+        pipeline input, and the per-offset accumulation grouping do not
+        depend on the band.  The pipeline math restates
+        :class:`~repro.core.datapath.ForcePipeline` over pre-gathered
+        per-pair coefficients and pre-cast ROM images; every
+        restatement is a bitwise no-op: quantized fraction differences
+        are exact in float32, the exact float64 ``r2`` is formed from
+        those exact differences, the section/bin decode reads the same
+        indices straight from the float32 bit fields (power-of-two
+        ``n_b``), and the per-column bincount scatters are
+        :func:`~repro.md.kernels.scatter_add`'s own definition (slot
+        indexing only relabels the bins).
         """
-        art = state.artifacts.get("machine")
-        if art is None:
-            art = _MachineArtifacts(self, state)
-            state.artifacts["machine"] = art
-        plan = self._plan
-        n = self.system.n
-        cap = state.cap
-        order = state.clist.order
-        segs = art.segs
-
-        # Bucket-sorted fractions in float32 — exact: fractions are
-        # k * 2**-23 in [0, 1), so differences (and minus the integer
-        # cell offsets) are exactly representable; float32 dr here is
-        # bit-equal to casting the fresh path's float64 dr.  Gathered
-        # through the arena: take into a float64 column, cast in place
-        # (the same per-element f64 -> f32 rounding as astype).
-        ar = self._arena
-        t64col = ar.get("fs_t64", n, np.float64)
-        fsx = ar.get("fsx", n, np.float32)
-        fsy = ar.get("fsy", n, np.float32)
-        fsz = ar.get("fsz", n, np.float32)
-        np.take(frac[:, 0], order, out=t64col)
-        fsx[:] = t64col
-        np.take(frac[:, 1], order, out=t64col)
-        fsy[:] = t64col
-        np.take(frac[:, 2], order, out=t64col)
-        fsz[:] = t64col
         potential = np.float32(0.0)
-        backend = resolve_backend(self.force_impl)
-        if backend.admit_flat is not None:
-            # Fused admission kernel: the exact per-pair arithmetic
-            # below restated in one loop (see repro.md.backends) —
-            # admitted indices, r2 and displacements bitwise identical.
-            # Scratch comes from the build-persistent artifacts; the
-            # numpy/soa kernel wants whole-band work arrays, the
-            # compiled kernels compacted output arrays.
-            if backend.name == "soa":
-                scratch = (art.dx, art.dy, art.dz, art.tf, art.r2f)
-            elif backend.name in ("numba", "cext"):
-                if art.idx64 is None:
-                    art.idx64 = np.empty(len(art.A), dtype=np.int64)
-                scratch = (art.idx64, art.r2f, art.dx, art.dy, art.dz)
-            else:
-                scratch = None
-            idx, r2a, dxa, dya, dza = backend.admit_flat(
-                fsx, fsy, fsz, art.A, art.B, segs, _OFFS14, scratch=scratch,
-                copy=False,
+        segs = art.segs
+        L = len(art.A)
+        if L == 0:
+            return potential
+        ar = arena
+        # Fused admission (see repro.md.backends): the compiled kernels
+        # want compacted output arrays, the numpy one whole-band work
+        # arrays; both return views into this arena scratch.
+        compiled = backend.name in ("numba", "cext")
+        if backend.admit_flat is not None and compiled:
+            admit = backend.admit_flat
+            scratch = (
+                ar.get("adm_idx", L, np.int64),
+                ar.get("adm_r2", L, np.float32),
+                ar.get("adm_dx", L, np.float32),
+                ar.get("adm_dy", L, np.float32),
+                ar.get("adm_dz", L, np.float32),
             )
-            if idx.size == 0:
-                return potential
         else:
-            dx, dy, dz, tf = art.dx, art.dy, art.dz, art.tf
-            np.take(fsx, art.A, out=dx)
-            np.take(fsx, art.B, out=tf)
-            dx -= tf
-            np.take(fsy, art.A, out=dy)
-            np.take(fsy, art.B, out=tf)
-            dy -= tf
-            np.take(fsz, art.A, out=dz)
-            np.take(fsz, art.B, out=tf)
-            dz -= tf
-            for k in range(1, ROWS_PER_CELL):
-                lo, hi = int(segs[k]), int(segs[k + 1])
-                if lo == hi:
-                    continue
-                ox, oy, oz = _OFFS14[k]
-                if ox:
-                    dx[lo:hi] -= np.float32(ox)
-                if oy:
-                    dy[lo:hi] -= np.float32(oy)
-                if oz:
-                    dz[lo:hi] -= np.float32(oz)
-            # Conservative float32 pre-screen before the exact recheck.
-            # The all-f32 r2 differs from the exact value by < 3
-            # products' worth of rounding (rel. error < 2e-7), so any
-            # pair with f32 r2 >= 1 + 1e-5 provably fails the exact
-            # f64 -> f32 cutoff test too; the exact recheck then only
-            # runs over the near-admitted shell instead of the whole
-            # widened band.
-            r2s = art.r2f
-            tf2 = art.tf
-            np.multiply(dx, dx, out=r2s)
-            np.multiply(dy, dy, out=tf2)
-            r2s += tf2
-            np.multiply(dz, dz, out=tf2)
-            r2s += tf2
-            cand = np.flatnonzero(r2s < np.float32(1.0 + 1e-5))
-            if cand.size == 0:
-                return potential
-            dxc = dx.take(cand)
-            dyc = dy.take(cand)
-            dzc = dz.take(cand)
-            # Exact float64 squared distance of the exact float32
-            # diffs, associating as (dx^2 + dy^2) + dz^2 — exactly the
-            # filter's einsum inner product (dtype= forces the float64
-            # product loop; plain out= would multiply in float32).
-            # Then the filter's f64 -> f32 rounding, i.e. the admitted
-            # r2 stream is bit-for-bit the fresh path's.
-            r2c = np.multiply(dxc, dxc, dtype=np.float64)
-            t64 = np.multiply(dyc, dyc, dtype=np.float64)
-            r2c += t64
-            np.multiply(dzc, dzc, out=t64, dtype=np.float64)
-            r2c += t64
-            r2fc = r2c.astype(np.float32)
-
-            # Global admission pass: admitted indices over the whole
-            # band, in stored order — which is exactly per-offset
-            # ascending flat (cell, slot_i, slot_j), the fresh path's
-            # enumeration order (``cand`` is ascending and ``keep``
-            # preserves order).  All elementwise pipeline math then
-            # runs once over the admitted set; only the order-sensitive
-            # reductions (bank scatters, the per-offset float32 energy
-            # sums, the presence-bit statistics) walk the 14 offset
-            # groups, each a contiguous slice.
-            one = np.float32(1.0)
-            keep = r2fc < one
-            idx = cand[keep]
-            if idx.size == 0:
-                return potential
-            r2a = r2fc[keep]
-            dxa = dxc[keep]
-            dya = dyc[keep]
-            dza = dzc[keep]
+            admit = backend.admit_flat or admit_flat_numpy
+            scratch = (
+                ar.get("adm_dx", L, np.float32),
+                ar.get("adm_dy", L, np.float32),
+                ar.get("adm_dz", L, np.float32),
+                ar.get("adm_t", L, np.float32),
+                ar.get("adm_r2", L, np.float32),
+            )
+        idx, r2a, dxa, dya, dza = admit(
+            fsx, fsy, fsz, art.A, art.B, segs, _OFFS14, scratch=scratch,
+            copy=False,
+        )
+        if idx.size == 0:
+            return potential
         bounds = np.searchsorted(idx, segs)
-        r2_min32 = np.float32(self.filter.r2_min)
+        r2_min32 = np.float32(self.r2_min)
         if np.any(r2a < r2_min32):
             # The real filter's small-r guard, verbatim.
             below = int(np.count_nonzero(r2a < r2_min32))
             raise ValidationError(
                 f"{below} pair(s) inside the excluded "
-                f"small-r region (r2 < {self.filter.r2_min}); the "
+                f"small-r region (r2 < {self.r2_min}); the "
                 "simulation has collapsed or the dataset violates "
                 "the minimum distance"
             )
         ts = self.tables
         n_s, n_b = ts.n_s, ts.n_b
         m = idx.size
-        roms = self._rom32()
+        roms = self.roms
         nb_pow2 = n_b >= 1 and (n_b & (n_b - 1)) == 0
         if (
             backend.rom_eval is not None
@@ -782,10 +379,10 @@ class FasdaMachine:
             and idx.dtype == np.int64
         ):
             # Fused decode + ROM-gather + pipeline kernel: the numpy
-            # sequence of the else-branch restated in one compiled loop
-            # (see repro.md.backends.rom_eval) — per-pair force and
-            # energy streams bitwise identical, so the order-sensitive
-            # reductions below see the exact same operands.
+            # sequence below restated in one compiled loop (see
+            # repro.md.backends.rom_eval) — per-pair force and energy
+            # streams bitwise identical, so the order-sensitive
+            # reductions see the exact same operands.
             fxa = ar.get("fxa", m, np.float32)
             fya = ar.get("fya", m, np.float32)
             fza = ar.get("fza", m, np.float32)
@@ -799,11 +396,23 @@ class FasdaMachine:
                 (art.c14p, art.c8p, art.c12p, art.c6p),
                 coul, fxa, fya, fza, e,
             )
-            return self._eval_reduce(
-                state, art, idx, e, fxa, fya, fza, bounds,
-                home_bank, nbr_bank, accepted, uniq_per_row, potential,
-                backend,
+        else:
+            e, fxa, fya, fza = self._pipeline_numpy(
+                art, idx, r2a, dxa, dya, dza, nb_pow2, ar
             )
+        return self._reduce(
+            art, idx, e, fxa, fya, fza, bounds,
+            home_bank, nbr_bank, accepted, uniq_per_row, potential,
+            backend, ar,
+        )
+
+    def _pipeline_numpy(self, art, idx, r2a, dxa, dya, dza, nb_pow2, ar):
+        """The ROM pipelines in numpy over the admitted stream (the
+        ``rom_eval`` oracle); returns ``(e, fx, fy, fz)``."""
+        ts = self.tables
+        n_s, n_b = ts.n_s, ts.n_b
+        m = idx.size
+        roms = self.roms
         # Section/bin decode straight from the float32 bit fields:
         # s = biased_exponent - (127 - n_s), b = top log2(n_b) mantissa
         # bits — exactly Eqs. 9-10 for admitted r2 in [2**-n_s, 1).
@@ -906,16 +515,11 @@ class FasdaMachine:
             inve += tb
             inve *= qq
             e += inve
-        return self._eval_reduce(
-            state, art, idx, e, fxa, fya, fza, bounds,
-            home_bank, nbr_bank, accepted, uniq_per_row, potential,
-            backend,
-        )
+        return e, fxa, fya, fza
 
-    def _eval_reduce(
+    def _reduce(
         self,
-        state: CellState,
-        art: "_MachineArtifacts",
+        art: _BandArtifacts,
         idx: np.ndarray,
         e: np.ndarray,
         fxa: np.ndarray,
@@ -928,6 +532,7 @@ class FasdaMachine:
         uniq_per_row: np.ndarray,
         potential: np.float32,
         backend,
+        ar: "_StepArena",
     ) -> np.float32:
         """Order-sensitive reductions over the evaluated pair stream:
         per-offset bank scatters, acceptance counts, unique-record
@@ -935,15 +540,14 @@ class FasdaMachine:
         the numpy pipeline and the fused ``rom_eval`` kernel — both
         hand over bitwise-identical ``e``/``f`` streams, so everything
         here is invariant to which produced them."""
-        ar = self._arena
-        n = self.system.n
-        cap = state.cap
+        n = len(home_bank)
+        cap = art.cap
         m = idx.size
-        II = ar.get("II", m, art.II.dtype)
-        JJ = ar.get("JJ", m, art.JJ.dtype)
+        II = ar.get("II", m, art.A.dtype)
+        JJ = ar.get("JJ", m, art.B.dtype)
         CC = ar.get("CC", m, art.CC.dtype)
-        np.take(art.II, idx, out=II)
-        np.take(art.JJ, idx, out=JJ)
+        np.take(art.A, idx, out=II)
+        np.take(art.B, idx, out=JJ)
         np.take(art.CC, idx, out=CC)
         # Compiled column scatter: same f64-accumulate / f32-round /
         # full-length f32 add sequence as _scatter_cols, one pass.
@@ -961,7 +565,8 @@ class FasdaMachine:
 
         else:
             scat_cols = _scatter_cols
-        present = art.present
+        # Bucket-slot presence bits of the unique-record statistics.
+        present = ar.get("present", len(accepted) * cap, bool)
         for k in range(ROWS_PER_CELL):
             lo, hi = int(bounds[k]), int(bounds[k + 1])
             if lo == hi:
@@ -983,6 +588,422 @@ class FasdaMachine:
             potential += e[sl].sum(dtype=np.float32)
         return potential
 
+
+class _Datapath:
+    """Per-board datapath state shared by :class:`FasdaMachine` and
+    :class:`~repro.core.distributed.DistributedMachine`: the fixed-point
+    format, force tables, pair filter, pipelines, the node kernel, and
+    the float32 velocity/force caches."""
+
+    def _init_datapath(self, config: MachineConfig, system: ParticleSystem):
+        self.system = system.copy()
+        # Hardware state widths: velocities and forces are float32
+        # (VC/FC are 32-bit), positions are fixed-point per cell.
+        self._velocities32 = self.system.velocities.astype(np.float32)
+        self._forces32 = np.zeros_like(self._velocities32)
+        self.fmt = FixedPointFormat(frac_bits=config.frac_bits)
+        self.tables = ForceTableSet(n_s=config.table_ns, n_b=config.table_nb)
+        self.filter = PairFilter(self.tables.r2_min)
+        self.pipeline = ForcePipeline(
+            self.system.lj_table, config.cutoff, self.tables
+        )
+        # Optional second pipeline: the short-range Ewald electrostatic
+        # term, structurally identical table lookup with a different ROM
+        # image (paper Secs. 2.1, 3.4); charges travel in the position
+        # payload.
+        self.coulomb_pipeline = None
+        self._charges32 = None
+        if config.force_model == "lj+coulomb":
+            from repro.core.datapath import TabulatedRadialPipeline
+            from repro.md.ewald import (
+                choose_beta,
+                ewald_real_energy_scalar,
+                ewald_real_scalar,
+            )
+
+            self.ewald_beta = choose_beta(config.cutoff, config.ewald_tolerance)
+            beta = self.ewald_beta
+            self.coulomb_pipeline = TabulatedRadialPipeline.from_physical(
+                lambda r2: ewald_real_scalar(r2, beta),
+                lambda r2: ewald_real_energy_scalar(r2, beta),
+                cutoff=config.cutoff,
+                n_s=config.table_ns,
+                n_b=config.table_nb,
+            )
+            self._charges32 = self.system.charges.astype(np.float32)
+        self._kernel = NodeKernel(
+            self.pipeline, self.tables, self.filter.r2_min,
+            self.coulomb_pipeline,
+        )
+
+    @property
+    def forces(self) -> np.ndarray:
+        """Current float32 forces (kcal/mol/A)."""
+        return self._forces32
+
+    @property
+    def velocities(self) -> np.ndarray:
+        """Current float32 velocities (A/fs)."""
+        return self._velocities32
+
+    def kinetic_energy(self) -> float:
+        """Kinetic energy (kcal/mol) from the float32 velocity cache."""
+        v = self._velocities32.astype(np.float64)
+        ke = 0.5 * float(np.sum(self.system.masses * np.sum(v * v, axis=1)))
+        return ke / KCAL_MOL_TO_INTERNAL
+
+    def _accel32(self, forces: np.ndarray) -> np.ndarray:
+        factor = (KCAL_MOL_TO_INTERNAL / self.system.masses).astype(np.float32)
+        return forces * factor[:, None]
+
+
+class FasdaMachine(_Datapath):
+    """Functional + statistical simulator of a FASDA deployment.
+
+    Parameters
+    ----------
+    config:
+        The machine configuration (design point).
+    system:
+        Particle system to simulate; if None, the paper's dataset is
+        generated for ``config.global_cells``.  The system is copied —
+        the caller's arrays are never mutated.
+    seed:
+        Dataset seed when ``system`` is None.
+    """
+
+    def __init__(
+        self,
+        config: MachineConfig,
+        system: Optional[ParticleSystem] = None,
+        seed: int = 2023,
+    ):
+        self.config = config
+        self.grid = CellGrid(config.global_cells, config.cutoff)
+        if system is None:
+            system, _ = build_dataset(
+                config.global_cells, cutoff=config.cutoff, seed=seed
+            )
+        if not np.allclose(system.box, self.grid.box):
+            raise ConfigError(
+                f"system box {system.box} does not match config box {self.grid.box}"
+            )
+        self._init_datapath(config, system)
+        # Static geometry: cell -> owning node.
+        self._cell_coords = self.grid.cell_coords(
+            np.arange(self.grid.n_cells, dtype=np.int64)
+        )
+        node_coords = node_of_cell(self._cell_coords, config.local_cells)
+        fg = config.fpga_grid
+        self._cell_node = (
+            node_coords[:, 0] * fg[1] * fg[2]
+            + node_coords[:, 1] * fg[2]
+            + node_coords[:, 2]
+        )
+        # Local ring slot per cell (EX node occupies the last slot).
+        order = cbb_ring_order(config.local_cells)
+        local_index = {c: i for i, c in enumerate(order)}
+        local_coords = self._cell_coords - node_coords * np.asarray(
+            config.local_cells
+        )
+        self._cell_ring_slot = np.array(
+            [local_index[tuple(c)] for c in local_coords], dtype=np.int64
+        )
+        self._ring_slots = config.cells_per_fpga + 1  # + EX
+        self._ex_slot = config.cells_per_fpga
+        # Static half-shell topology: the shared (cached) pair plan
+        # carries every (home, neighbor, shift) triple as flat arrays.
+        self._plan = plan_for_grid(self.grid)
+        self._neighbor_cids = self._plan.neighbor_ids
+        #: Pair enumeration path: "auto" (the :class:`NodeKernel` over a
+        #: padded band search when the box is dense enough, else
+        #: chunked), "padded", or "chunked" (the retained PairFilter
+        #: oracle).  Both paths admit bitwise-identical pair sets.
+        self.pair_path = "auto"
+        #: Traffic accounting implementation: "vectorized" (group-by
+        #: passes) or "loop" (the retained per-row oracle).
+        self.traffic_impl = "vectorized"
+        #: Force backend (see :mod:`repro.md.backends`): ``None`` uses
+        #: the process-wide default, ``"numpy"`` the numpy kernel
+        #: sequence, ``"soa"``/``"numba"``/``"cext"`` fused kernels.
+        #: The float64 recheck of
+        #: :meth:`~repro.core.datapath.PairFilter.admit_r2` (and its
+        #: arithmetic restatements) stays authoritative on every
+        #: backend, so admissions, statistics, traffic and the
+        #: potential are **bitwise identical** across backends.
+        self.force_impl: Optional[str] = None
+        #: Step-persistent cell state (PR 4): when True, binning and the
+        #: padded candidate search are amortized across steps through a
+        #: skin-banded :class:`~repro.md.cellstate.CellState`, rebuilt on
+        #: the skin/2 displacement criterion or any cell reassignment.
+        #: Forces, energies and all workload statistics stay bitwise
+        #: identical to the rebuild-every-step path.  Honored only where
+        #: the fresh path would take the padded band search;
+        #: ``pair_path="chunked"`` disables it.
+        self.reuse_state = False
+        #: Skin margin (angstrom) for the persistent state's band lists.
+        self.reuse_skin = 0.15 * config.cutoff
+        self._cell_state = None
+        #: Per-phase wall-clock counters (build/force/traffic/ring/
+        #: integrate), off by default; enable with
+        #: ``machine.timings.enabled = True``.  ``ring`` time is charged
+        #: inside the ``traffic`` phase.
+        self.timings = StepTimings()
+        # Persistent per-step force banks and the named scratch arena:
+        # a reuse-path step performs no large allocations (see
+        # DESIGN.md §13).
+        self._home_bank: Optional[np.ndarray] = None
+        self._nbr_bank: Optional[np.ndarray] = None
+        self._arena = _StepArena()
+        self.history: List[EnergyRecord] = []
+        self._primed = False
+        self._last_potential = 0.0
+        self.last_stats: Optional[StepStats] = None
+        #: Migration accounting from the most recent step (MU-ring load).
+        self.last_migrations = None
+
+    # -- force evaluation ------------------------------------------------------
+
+    def _pipelines(
+        self,
+        dr: np.ndarray,
+        r2: np.ndarray,
+        gi: np.ndarray,
+        gj: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """All force pipelines over one admitted pair block.
+
+        The LJ pipeline always runs; with ``force_model="lj+coulomb"``
+        the Ewald pipeline consumes the *same* filtered pairs — in
+        hardware the two pipelines sit side by side behind one filter
+        bank, which is why the paper calls them "nearly identical".
+        """
+        spc = self.system.species
+        f, e = self.pipeline.compute(dr, r2, spc[gi], spc[gj])
+        if self.coulomb_pipeline is not None:
+            qq = self._charges32[gi] * self._charges32[gj]
+            fc, ec = self.coulomb_pipeline.compute(dr, r2, qq)
+            f = f + fc
+            e = e + ec
+        return f, e
+
+    def compute_forces(self, collect_traffic: bool = True) -> StepStats:
+        """One full force-evaluation pass through the modeled datapath.
+
+        Updates the internal float32 force banks and returns workload
+        statistics.  Does not advance time.
+
+        Dense boxes (the paper's 64-per-cell workload) run the
+        :class:`NodeKernel` over band lists from the padded-broadcast
+        search: candidate squared distances come from batched per-cell
+        float32 matmuls, a conservative band keeps every possible
+        admission, and the kernel's exact recheck admits the same pair
+        set as the real :class:`~repro.core.datapath.PairFilter` — so
+        every ``dr``/``r2`` entering the pipelines and all integer
+        workload statistics are bit-identical to the chunked
+        enumeration (``pair_path="chunked"``), which remains the
+        fallback for sparse or skewed occupancies and the oracle.
+        Traffic accounting runs as vectorized group-by passes
+        (``traffic_impl="loop"`` selects the retained per-row oracle).
+        """
+        cfg = self.config
+        grid = self.grid
+        plan = self._plan
+        pos = self.system.positions
+        n = self.system.n
+        n_cells = grid.n_cells
+        with self.timings.phase("build"):
+            state = self._ensure_cell_state(pos) if self.reuse_state else None
+            if state is not None:
+                clist = state.clist
+                coords = state.coords
+            else:
+                clist = CellList(grid, pos)
+                coords = grid.coords_of_positions(pos)
+            frac = quantize_cell_fractions(pos, coords, cfg.cutoff, self.fmt)
+
+        # Persistent force banks (zeroed in place each pass) — the two
+        # largest per-step arrays; their adder-tree sum below still
+        # produces a fresh array so returned force snapshots stay valid.
+        if self._home_bank is None or len(self._home_bank) != n:
+            self._home_bank = np.zeros((n, 3), dtype=np.float32)
+            self._nbr_bank = np.zeros((n, 3), dtype=np.float32)
+        else:
+            self._home_bank.fill(0)
+            self._nbr_bank.fill(0)
+        home_bank = self._home_bank
+        nbr_bank = self._nbr_bank
+        candidates = candidates_per_cell(plan, clist.counts)
+        accepted = np.zeros(n_cells, dtype=np.int64)
+        # Unique neighbor particles touched per plan row — the per-block
+        # force-return record counts of the hardware (zero forces and
+        # duplicate touches within a block are coalesced).
+        uniq_per_row = np.zeros(plan.n_rows, dtype=np.int64)
+
+        with self.timings.phase("force"):
+            use_band = state is not None or (
+                self.pair_path != "chunked"
+                and (self.pair_path == "padded" or _padded_viable(plan, clist))
+            )
+            if use_band:
+                potential = self._eval_band(
+                    state, clist, frac, home_bank, nbr_bank, accepted,
+                    uniq_per_row,
+                )
+            else:
+                potential = self._eval_chunked(
+                    clist, frac, home_bank, nbr_bank, accepted, uniq_per_row,
+                )
+
+        nbr_frc_records = np.zeros(n_cells, dtype=np.int64)
+        scatter_add(nbr_frc_records, plan.home, uniq_per_row)
+
+        occupancy = clist.occupancies()
+        if collect_traffic:
+            account = (
+                self._account_traffic_loop
+                if self.traffic_impl == "loop"
+                else self._account_traffic
+            )
+            with self.timings.phase("traffic"):
+                position_records, force_records, pr_models, fr_models = (
+                    account(clist.counts, occupancy, uniq_per_row)
+                )
+        else:
+            position_records = {}
+            force_records = {}
+            pr_models = {
+                n_: RingLoadModel(RingPath(self._ring_slots, +1))
+                for n_ in range(cfg.n_fpgas)
+            }
+            fr_models = {
+                n_: RingLoadModel(RingPath(self._ring_slots, -1))
+                for n_ in range(cfg.n_fpgas)
+            }
+
+        # Adder-tree combination of the FC banks (Sec. 4.5).  The
+        # kernel's banks are slot-indexed; put them back in particle
+        # order.
+        if use_band:
+            self._forces32 = np.empty_like(home_bank)
+            self._forces32[clist.order] = home_bank + nbr_bank
+        else:
+            self._forces32 = home_bank + nbr_bank
+
+        stats = StepStats(
+            candidates_per_cell=candidates,
+            accepted_per_cell=accepted,
+            occupancy_per_cell=occupancy.copy(),
+            potential_energy=float(potential),
+            position_records=position_records,
+            force_records=force_records,
+            pr_load={n: RingLoadSummary.from_model(m) for n, m in pr_models.items()},
+            fr_load={n: RingLoadSummary.from_model(m) for n, m in fr_models.items()},
+            neighbor_force_records_per_cell=nbr_frc_records,
+            timings=self.timings.snapshot(),
+        )
+        if self.reuse_state:
+            cs = self._cell_state
+            stats.state_builds = cs.builds if cs is not None else 0
+            stats.state_reused = state is not None and not state.last_rebuilt
+        self.last_stats = stats
+        return stats
+
+    # -- step-persistent state ------------------------------------------------
+
+    def ensure_cell_state(self) -> CellState:
+        """Create (once) and return the persistent :class:`CellState`.
+
+        Creation alone does not build the band lists (the next force
+        pass does); checkpoint restore uses this to reattach the reuse
+        counters without paying an immediate build.
+        """
+        if self._cell_state is None:
+            self._cell_state = CellState(
+                self.grid,
+                self._plan,
+                self.reuse_skin,
+                machine_pack_fn(
+                    self.fmt, self.config.cutoff, self.reuse_skin, self.grid
+                ),
+            )
+        return self._cell_state
+
+    def _ensure_cell_state(self, pos: np.ndarray) -> Optional[CellState]:
+        """Bring the persistent :class:`CellState` up to date, or decline.
+
+        Returns the state when the reuse path applies this step, else
+        None (``pair_path="chunked"``, or the fresh auto path would not
+        take the padded band search for this box — reuse only ever
+        replaces a fresh band search).
+        """
+        if self.pair_path == "chunked":
+            return None
+        state = self.ensure_cell_state()
+        if state.ensure(pos):
+            state.artifacts["usable"] = self.pair_path == "padded" or _padded_viable(
+                self._plan, state.clist
+            )
+        return state if state.artifacts.get("usable") else None
+
+    def _eval_band(
+        self,
+        state: Optional[CellState],
+        clist: CellList,
+        frac: np.ndarray,
+        home_bank: np.ndarray,
+        nbr_bank: np.ndarray,
+        accepted: np.ndarray,
+        uniq_per_row: np.ndarray,
+    ) -> np.float32:
+        """Whole-box :class:`NodeKernel` pass into slot-indexed banks.
+
+        Over the persistent skin-banded lists of ``state`` when reuse is
+        on, else over a fresh skinless band search (the dense padded
+        path: the search does ``ROWS_PER_CELL * C * cap^2`` work however
+        full the buckets are).  Both admit bitwise the same pair
+        sequence (see :meth:`NodeKernel.evaluate`).
+        """
+        order = clist.order
+        art = state.artifacts.get("machine") if state is not None else None
+        if art is None:
+            if state is not None:
+                pairs, cap = state.pairs, state.cap
+            else:
+                cap = int(clist.counts.max())
+                pairs = band_slot_pairs(
+                    self._plan, clist.start, clist.counts, frac[order],
+                    _OFFS14, _FRESH_BAND,
+                )
+            art = _BandArtifacts(
+                self._kernel,
+                pairs,
+                cap,
+                self.system.species[order],
+                None if self._charges32 is None else self._charges32[order],
+            )
+            if state is not None:
+                state.artifacts["machine"] = art
+        n = self.system.n
+        # Bucket-sorted fractions in float32 — exact: fractions are
+        # k * 2**-23 in [0, 1), so differences (and minus the integer
+        # cell offsets) are exactly representable; float32 dr here is
+        # bit-equal to casting the chunked path's float64 dr.  Gathered
+        # through the arena: take into a float64 column, cast in place
+        # (the same per-element f64 -> f32 rounding as astype).
+        ar = self._arena
+        t64col = ar.get("fs_t64", n, np.float64)
+        fs = []
+        for axis, name in enumerate(("fsx", "fsy", "fsz")):
+            col = ar.get(name, n, np.float32)
+            np.take(frac[:, axis], order, out=t64col)
+            col[:] = t64col
+            fs.append(col)
+        return self._kernel.evaluate(
+            *fs, art, home_bank, nbr_bank, accepted, uniq_per_row,
+            resolve_backend(self.force_impl), ar,
+        )
+
     def _eval_chunked(
         self,
         clist: CellList,
@@ -997,7 +1018,7 @@ class FasdaMachine:
         All candidate pairs flow through the filter and the force
         pipelines in step-wide batches from the shared pair plan; kept
         as the general path for sparse/skewed boxes and as the oracle
-        the padded fast path is asserted against.
+        the kernel path is asserted against.
         """
         plan = self._plan
         n = np.int64(self.system.n)
@@ -1040,118 +1061,6 @@ class FasdaMachine:
             potential += e.sum(dtype=np.float32)
         return potential
 
-    def _eval_padded(
-        self,
-        clist: CellList,
-        frac: np.ndarray,
-        home_bank: np.ndarray,
-        nbr_bank: np.ndarray,
-        accepted: np.ndarray,
-        uniq_per_row: np.ndarray,
-    ) -> np.float32:
-        """Padded-broadcast datapath pass (dense-occupancy fast path).
-
-        Buckets are padded to the max occupancy ``cap`` and each of the
-        14 plan offsets becomes one ``(C, cap, cap)`` float32 matmul
-        over quantized in-cell fractions (exactly representable in
-        float32 at the default 23 fraction bits, and conservatively
-        banded regardless), ``r2 = |f_i|^2 + |f_j + off|^2 - 2 f_i.(f_j
-        + off)``.  Survivors of the band are rebuilt as exact float64
-        fixed-point displacements and pushed through the real
-        :class:`~repro.core.datapath.PairFilter`, so admissions, the
-        pipeline inputs, and the per-row unique-record statistics match
-        the chunked path exactly; only float32 accumulation *grouping*
-        differs (14 offset batches instead of ~2M-pair chunks).
-        """
-        plan = self._plan
-        n = self.system.n
-        C = plan.n_cells
-        order, start, counts = clist.order, clist.start, clist.counts
-        cap = int(counts.max())
-
-        # Bucket-sorted fractions: slot s holds particle order[s].
-        frac_s = frac[order]
-        fsx = np.ascontiguousarray(frac_s[:, 0])
-        fsy = np.ascontiguousarray(frac_s[:, 1])
-        fsz = np.ascontiguousarray(frac_s[:, 2])
-        within = np.arange(n, dtype=np.int64) - start[clist.sorted_cids]
-        P = np.zeros((C, cap, 3), dtype=np.float32)
-        P[clist.sorted_cids, within] = frac_s.astype(np.float32)
-        padm = np.arange(cap)[None, :] >= counts[:, None]
-        S = np.einsum("cix,cix->ci", P, P, dtype=np.float32)
-        S[padm] = np.inf  # pad slots poison every r2 they appear in
-
-        nbr_mat = plan.nbr.reshape(C, ROWS_PER_CELL)
-        offs = np.concatenate(
-            [np.zeros((1, 3)), np.asarray(HALF_SHELL_OFFSETS, dtype=np.float64)]
-        )
-        # Cutoff in normalized units is 1; the band only ever admits
-        # *extra* candidates to the exact filter recheck.
-        band = np.float32(1.0 + 1e-3)
-        cell_of, i_of, j_of = plan.padded_decode(cap)
-        a_of = start[cell_of] + i_of
-        iu = np.arange(cap)
-        tri = iu[:, None] < iu[None, :]
-        mask = np.empty((C, cap, cap), dtype=bool)
-        G = np.empty((C, cap, cap), dtype=np.float32)
-        H = np.empty((C, cap, cap), dtype=np.float32)
-        present = np.zeros(C * cap, dtype=bool)
-        potential = np.float32(0.0)
-
-        for k in range(ROWS_PER_CELL):
-            nb = nbr_mat[:, k]
-            Q = P[nb] + offs[k].astype(np.float32)
-            Sq = np.einsum("cix,cix->ci", Q, Q, dtype=np.float32)
-            Sq[padm[nb]] = np.inf
-            np.matmul(P, Q.transpose(0, 2, 1), out=G)
-            # r2 = S_i + Sq_j - 2 G_ij < band  <=>  G > (S - band)/2 + Sq/2
-            np.add(
-                ((S - band) * np.float32(0.5))[:, :, None],
-                (Sq * np.float32(0.5))[:, None, :],
-                out=H,
-            )
-            np.greater(G, H, out=mask)
-            if k == 0:
-                mask &= tri  # home-home upper triangle
-            flat = np.flatnonzero(mask.reshape(-1))
-            if flat.size == 0:
-                continue
-            a = a_of[flat]
-            c = cell_of[flat]
-            jsl = j_of[flat]
-            b = start[nb][c] + jsl
-            # Exact fixed-point displacements for the band survivors,
-            # with the chunked path's arithmetic, through the real
-            # filter — bitwise-identical admissions and r2.
-            dr = np.empty((len(flat), 3))
-            dr[:, 0] = fsx[a] - fsx[b] - offs[k, 0]
-            dr[:, 1] = fsy[a] - fsy[b] - offs[k, 1]
-            dr[:, 2] = fsz[a] - fsz[b] - offs[k, 2]
-            res = self.filter.check(dr)
-            if not res.n_accepted:
-                continue
-            m = res.mask
-            ii = order[a[m]]
-            jj = order[b[m]]
-            cc = c[m]
-            scatter_add(accepted, cc)
-            f, e = self._pipelines(dr[m], res.r2, ii, jj)
-            scatter_add(home_bank, ii, f)
-            if k == 0:
-                scatter_add(home_bank, jj, -f)
-            else:
-                scatter_add(nbr_bank, jj, -f)
-                # Unique (row, neighbor particle) records via bucket-slot
-                # presence bits — each offset k owns its rows outright.
-                present[:] = False
-                present[cc * cap + jsl[m]] = True
-                touched = np.flatnonzero(present)
-                scatter_add(
-                    uniq_per_row, (touched // cap) * ROWS_PER_CELL + k
-                )
-            potential += e.sum(dtype=np.float32)
-        return potential
-
     # -- traffic accounting ----------------------------------------------------
 
     def _traffic_models(
@@ -1180,6 +1089,17 @@ class FasdaMachine:
             ~plan.is_self & (counts[plan.home] > 0) & (counts[plan.nbr] > 0)
         )
 
+    def _position_rows(self, counts: np.ndarray) -> np.ndarray:
+        """Non-self plan rows whose neighbor (source) cell is occupied.
+
+        Position routing is static, like the hardware's P2R gate
+        assignment: a source cell's particles ship to every node hosting
+        one of its half-shell home cells, occupied or not — exactly what
+        :class:`~repro.core.distributed.DistributedMachine` sends.
+        """
+        plan = self._plan
+        return np.flatnonzero(~plan.is_self & (counts[plan.nbr] > 0))
+
     def _account_traffic(
         self,
         counts: np.ndarray,
@@ -1207,37 +1127,41 @@ class FasdaMachine:
         position_records: Dict[Tuple[int, int], int] = {}
         force_records: Dict[Tuple[int, int], int] = {}
         pr_models, fr_models = self._traffic_models()
-        act = self._active_neighbor_rows(counts)
-        if act.size == 0:
-            return position_records, force_records, pr_models, fr_models
         tfl = (
             resolve_backend(self.force_impl).traffic_flat
             or traffic_flat_numpy
         )
+        # Position stream dedup: unique (source cell, dest node) flows;
+        # remote flows charge the source cell's occupancy per record.
+        sent = self._position_rows(counts)
+        if sent.size:
+            pkeys = tfl(
+                plan.nbr[sent] * nf + self._cell_node[plan.home[sent]]
+            )[0]
+            pcell = pkeys // nf
+            pdst = pkeys % nf
+            psrc = self._cell_node[pcell]
+            remote = psrc != pdst
+            if remote.any():
+                rk = psrc[remote] * nf + pdst[remote]
+                uk, rsums, _, _ = tfl(
+                    rk, weights=occupancy[pcell[remote]].astype(np.float64)
+                )
+                sums = rsums.astype(np.int64)
+                position_records = {
+                    (int(k // nf), int(k % nf)): int(s)
+                    for k, s in zip(uk, sums)
+                }
 
+        act = self._active_neighbor_rows(counts)
+        if act.size == 0:
+            return position_records, force_records, pr_models, fr_models
         cid = plan.home[act]
         ncid = plan.nbr[act]
         home_node = self._cell_node[cid]
         home_slot = self._cell_ring_slot[cid]
         src_node = self._cell_node[ncid]
         local = src_node == home_node
-
-        # Position stream dedup: unique (source cell, dest node) flows;
-        # remote flows charge the source cell's occupancy per record.
-        pkeys = tfl(ncid * nf + home_node)[0]
-        pcell = pkeys // nf
-        pdst = pkeys % nf
-        psrc = self._cell_node[pcell]
-        remote = psrc != pdst
-        if remote.any():
-            rk = psrc[remote] * nf + pdst[remote]
-            uk, rsums, _, _ = tfl(
-                rk, weights=occupancy[pcell[remote]].astype(np.float64)
-            )
-            sums = rsums.astype(np.int64)
-            position_records = {
-                (int(k // nf), int(k % nf)): int(s) for k, s in zip(uk, sums)
-            }
 
         # Position-ring broadcasts: one ring traversal per (node, source
         # stream) key, up to the farthest destination CBB (Sec. 4.5).
@@ -1324,14 +1248,16 @@ class FasdaMachine:
         # Position-ring destinations per (node, source slot) for broadcasts.
         pr_dests: Dict[Tuple[int, int], List[int]] = {}
         pr_counts: Dict[Tuple[int, int], int] = {}
+        for r in self._position_rows(counts):
+            # Position stream: source cell -> home node (dedup per node).
+            home_node = int(self._cell_node[plan.home[r]])
+            pos_sent[(int(plan.nbr[r]), home_node)] = True
         for r in self._active_neighbor_rows(counts):
             cid = int(plan.home[r])
             ncid = int(plan.nbr[r])
             home_node = int(self._cell_node[cid])
             home_slot = int(self._cell_ring_slot[cid])
             src_node = int(self._cell_node[ncid])
-            # Position stream: source cell -> this node (dedup per node).
-            pos_sent[(ncid, home_node)] = True
             # Ring broadcast bookkeeping.
             key = (
                 home_node,
@@ -1379,26 +1305,6 @@ class FasdaMachine:
         return position_records, force_records, pr_models, fr_models
 
     # -- time integration (motion-update units) --------------------------------
-
-    @property
-    def forces(self) -> np.ndarray:
-        """Current float32 forces (kcal/mol/A)."""
-        return self._forces32
-
-    @property
-    def velocities(self) -> np.ndarray:
-        """Current float32 velocities (A/fs)."""
-        return self._velocities32
-
-    def kinetic_energy(self) -> float:
-        """Kinetic energy (kcal/mol) from the float32 velocity cache."""
-        v = self._velocities32.astype(np.float64)
-        ke = 0.5 * float(np.sum(self.system.masses * np.sum(v * v, axis=1)))
-        return ke / KCAL_MOL_TO_INTERNAL
-
-    def _accel32(self, forces: np.ndarray) -> np.ndarray:
-        factor = (KCAL_MOL_TO_INTERNAL / self.system.masses).astype(np.float32)
-        return forces * factor[:, None]
 
     def step(self, collect_traffic: bool = False) -> float:
         """Advance one timestep; returns the new potential energy.

@@ -44,6 +44,10 @@ REASON_DISPLACEMENT = "max_displacement"
 REASON_FORCE = "nonfinite_force"
 REASON_ENERGY = "nonfinite_energy"
 REASON_DRIFT = "energy_drift"
+#: Not a guard trip: the segment's occupancy left the dense padded
+#: layout batched stepping needs, so the engine ejected it (the service
+#: finishes such a job solo; see :mod:`repro.harness.jobs`).
+REASON_LAYOUT = "not_padded_viable"
 
 #: Keyed-RNG domain separation salt for chaos poison decisions
 #: (ASCII "POIS", mirroring the transport injector's salts).
@@ -228,5 +232,6 @@ __all__ = [
     "REASON_ENERGY",
     "REASON_FORCE",
     "REASON_INPUT",
+    "REASON_LAYOUT",
     "check_system_finite",
 ]

@@ -43,8 +43,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.faults.health import GuardConfig, REASON_INPUT
-from repro.md.batch import BatchedEngine
+from repro.faults.health import GuardConfig, REASON_INPUT, REASON_LAYOUT
+from repro.md.batch import BatchedEngine, solo_oracle_impl
 from repro.md.cells import CellGrid
 from repro.md.system import ParticleSystem
 from repro.util.errors import (
@@ -397,6 +397,7 @@ class _JobService:
         self.n_retries = 0
         self.n_preempted = 0
         self.n_adopted = 0
+        self.n_solo = 0
         self.poison_records: List[dict] = []
 
     # -- setup ---------------------------------------------------------------
@@ -611,6 +612,7 @@ class _JobService:
             "retries": self.n_retries,
             "preempted": self.n_preempted,
             "adopted_done": self.n_adopted,
+            "solo_reruns": self.n_solo,
             "poison_records": list(self.poison_records),
             "journal": (
                 os.path.join(self.workdir, self.JOURNAL_NAME)
@@ -727,6 +729,9 @@ class _JobService:
             job = self.active.pop(rec.handle, None)
             if job is None:
                 continue
+            if rec.reason == REASON_LAYOUT:
+                self._finish_solo(job)
+                continue
             job.attempts += 1
             tag_base = job.retry_steps_done if job.retry_system is not None else 0
             job.steps_done = tag_base + rec.segment_steps
@@ -740,6 +745,42 @@ class _JobService:
                 self._schedule_retry(job, record)
             else:
                 self._quarantine_terminal(job, record)
+
+    def _finish_solo(self, job: Job) -> None:
+        """Finish a job the batch ejected for its layout, alone.
+
+        Not a fault: the job's occupancy left the dense layout batched
+        stepping needs.  It re-runs from its last healthy snapshot (the
+        last chunk-boundary stash when guards keep one, else its
+        admission state) on the solo engine whose trajectory the batch
+        matches bitwise, at its own lane's dt — so it finishes exactly
+        as an uninterrupted solo run would.
+        """
+        from repro.md.engine import ReferenceEngine
+
+        basis = self._healthy.pop(job.key, None)
+        if basis is None:
+            if job.retry_system is not None:
+                basis = (job.retry_system, job.retry_steps_done)
+            else:
+                basis = (job.system, 0)
+        system, steps_done = basis
+        eng = ReferenceEngine(
+            system.copy(), job.grid, dt_fs=self._lane_dt(job.attempts),
+            shift=self.shift, reuse_state=True,
+            force_impl=solo_oracle_impl(self.force_impl),
+        )
+        remaining = job.steps - steps_done
+        if job.thermostat is None:
+            eng.run(remaining, record_every=remaining)
+        else:
+            for _ in range(remaining):
+                eng.run(1, record_every=1)
+                job.thermostat.apply(eng.system)
+        self.total_steps += remaining
+        self.n_solo += 1
+        job.steps_done = job.steps
+        self._complete(job, eng.system, eng.history[-1].potential)
 
     def _schedule_retry(self, job: Job, record: dict) -> None:
         """Re-queue from the last healthy snapshot at reduced dt."""
@@ -801,29 +842,35 @@ class _JobService:
         pots = self.engine.potentials()
         for handle in finished:
             job = self.active.pop(handle)
-            job.final_potential = pots[handle]
-            job.result = self.engine.remove(handle)
-            job.status = DONE
-            job.handle = None
             self.swaps += 1
-            self._healthy.pop(job.key, None)
-            if self.journal is not None:
-                from repro.core.checkpoint import save_checkpoint_v2
+            self._complete(job, self.engine.remove(handle), pots[handle])
 
-                result_path = os.path.join(
-                    self.workdir, f"result-{_fs_safe(job.key)}.npz"
-                )
-                save_checkpoint_v2(job.result, result_path)
-                self.journal.append({
-                    "event": "done",
-                    "key": job.key,
-                    "job_id": job.job_id,
-                    "steps_done": job.steps_done,
-                    "final_potential": job.final_potential,
-                    "result_path": result_path,
-                    "attempt": job.attempts,
-                    "dt_fs": self._lane_dt(self.level),
-                })
+    def _complete(
+        self, job: Job, result: ParticleSystem, potential: float
+    ) -> None:
+        """Mark ``job`` DONE with its final state and journal it."""
+        job.final_potential = potential
+        job.result = result
+        job.status = DONE
+        job.handle = None
+        self._healthy.pop(job.key, None)
+        if self.journal is not None:
+            from repro.core.checkpoint import save_checkpoint_v2
+
+            result_path = os.path.join(
+                self.workdir, f"result-{_fs_safe(job.key)}.npz"
+            )
+            save_checkpoint_v2(job.result, result_path)
+            self.journal.append({
+                "event": "done",
+                "key": job.key,
+                "job_id": job.job_id,
+                "steps_done": job.steps_done,
+                "final_potential": job.final_potential,
+                "result_path": result_path,
+                "attempt": job.attempts,
+                "dt_fs": self._lane_dt(self.level),
+            })
 
     def _handle_deadlines(self) -> None:
         """Preempt over-budget jobs (wall deadline or step timeout)."""

@@ -49,6 +49,7 @@ from repro.md.backends import (
     traffic_flat_numpy,
 )
 from repro.md.dataset import build_dataset
+from repro.oracles import exchange_positions_loop
 
 #: ~10k-particle box (the acceptance size) and the 2k smoke box.
 DEFAULT_DIMS: Tuple[int, int, int] = (5, 5, 6)
@@ -62,6 +63,57 @@ MACHINE_PHASES: Tuple[str, ...] = (
 DISTRIBUTED_PHASES: Tuple[str, ...] = (
     "build", "exchange", "force", "integrate",
 )
+
+
+#: The exclusive phases must cover this share of the measured step wall.
+PHASE_GAP_TOL = 0.05
+
+
+def _phase_table(machine, phases: Tuple[str, ...], steps: int, step) -> dict:
+    """Per-step phase seconds over ``steps`` timed ``step()`` calls.
+
+    The machine is primed first (``run(0)``) so the timed window holds
+    exactly ``steps`` force passes, not an extra priming pass.  The
+    exclusive phases (``traffic`` minus its nested ``ring``) must sum
+    to within :data:`PHASE_GAP_TOL` of the measured step wall.
+    """
+    steps = max(1, steps)
+    machine.run(0)
+    machine.timings.enabled = True
+    machine.timings.reset()
+    t0 = time.perf_counter()
+    for _ in range(steps):
+        step()
+    wall = time.perf_counter() - t0
+    snap = machine.timings.snapshot() or {}
+    machine.timings.enabled = False
+    excl = sum(snap.get(name, 0.0) for name in phases) - snap.get("ring", 0.0)
+    gap = abs(wall - excl) / wall
+    assert gap <= PHASE_GAP_TOL, (
+        f"phases cover {excl:.4f} s of a {wall:.4f} s step wall "
+        f"(gap {gap:.3f} > {PHASE_GAP_TOL})"
+    )
+    return {
+        "phase_steps": steps,
+        "phase_step_wall_s": wall / steps,
+        "phases_s": {name: snap.get(name, 0.0) / steps for name in phases},
+        "phase_calls": {
+            name: int(snap.get(f"{name}_calls", 0)) for name in phases
+        },
+    }
+
+
+def _forces_with_loop_exchange(machine: DistributedMachine) -> np.ndarray:
+    """One force pass of ``machine`` with the per-record exchange oracle
+    standing in for the batched exchange; returns the forces."""
+    machine._exchange_positions = lambda nodes: exchange_positions_loop(
+        machine, nodes
+    )
+    try:
+        machine.compute_forces()
+    finally:
+        del machine._exchange_positions
+    return machine.forces.copy()
 
 
 def _median_time(fn, reps: int) -> float:
@@ -225,18 +277,10 @@ def profile_machine(
     # Phase table over full step() calls (integrate included) with the
     # lightweight counters on; overhead is a perf_counter pair per
     # phase, far below timer resolution at these sizes.
-    mach.timings.enabled = True
-    mach.timings.reset()
-    t0 = time.perf_counter()
-    for _ in range(max(1, phase_steps)):
-        mach.step(collect_traffic=True)
-    wall = time.perf_counter() - t0
-    snap = mach.timings.snapshot() or {}
-    mach.timings.enabled = False
-    phases = {
-        name: snap.get(name, 0.0) / max(1, phase_steps)
-        for name in MACHINE_PHASES
-    }
+    table = _phase_table(
+        mach, MACHINE_PHASES, phase_steps,
+        lambda: mach.step(collect_traffic=True),
+    )
 
     return {
         "dims": list(dims),
@@ -251,9 +295,7 @@ def profile_machine(
         "machine_step_per_s": 1.0 / t_opt,
         "machine_loop_per_s": 1.0 / t_loop,
         "speedup_vs_loop": t_loop / t_opt,
-        "phase_steps": phase_steps,
-        "phase_step_wall_s": wall / max(1, phase_steps),
-        "phases_s": phases,
+        **table,
     }
 
 
@@ -285,12 +327,9 @@ def profile_distributed(
     )
     serial.compute_forces()
     f_batched = serial.forces.copy()
-    serial.exchange_impl = "loop"
-    serial.compute_forces()
-    assert np.array_equal(f_batched, serial.forces), (
+    assert np.array_equal(f_batched, _forces_with_loop_exchange(serial)), (
         "batched position exchange diverged from the per-record loop"
     )
-    serial.exchange_impl = "batched"
     t_serial = _median_time(serial.compute_forces, reps)
 
     # Short trajectories: serial vs process pool over shared memory.
@@ -318,17 +357,7 @@ def profile_distributed(
     finally:
         p_traj.close()
 
-    snap = {}
-    serial.timings.enabled = True
-    serial.timings.reset()
-    for _ in range(max(1, reps)):
-        serial.step()
-    snap = serial.timings.snapshot() or {}
-    serial.timings.enabled = False
-    phases = {
-        name: snap.get(name, 0.0) / max(1, reps)
-        for name in DISTRIBUTED_PHASES
-    }
+    table = _phase_table(serial, DISTRIBUTED_PHASES, reps, serial.step)
 
     return {
         "dims": list(dims),
@@ -344,7 +373,7 @@ def profile_distributed(
         "distributed_serial_per_s": 1.0 / t_serial,
         "distributed_process_per_s": 1.0 / t_process,
         "process_speedup": t_serial / t_process,
-        "phases_s": phases,
+        **table,
     }
 
 
@@ -418,11 +447,7 @@ def format_profile(doc: Dict[str, object]) -> str:
         f"-> {m['speedup_vs_loop']:.2f}x, bitwise ok",
         "  phase breakdown (per step, ring within traffic):",
     ]
-    wall = m["phase_step_wall_s"]
-    for name in MACHINE_PHASES:
-        sec = m["phases_s"].get(name, 0.0)
-        pct = 100.0 * sec / wall if wall > 0 else 0.0
-        lines.append(f"    {name:<10s} {sec * 1e3:8.2f} ms  {pct:5.1f}%")
+    lines += _phase_lines(m, MACHINE_PHASES)
     lines.append(
         f"distributed step ({d['n_particles']} particles, "
         f"{int(np.prod(d['fpga_grid']))} nodes): serial "
@@ -431,7 +456,16 @@ def format_profile(doc: Dict[str, object]) -> str:
         f"({d['process_speedup']:.2f}x, shm={d['shm_active']}, "
         f"{d['cpu_count']} cpu), bitwise ok"
     )
-    for name in DISTRIBUTED_PHASES:
-        sec = d["phases_s"].get(name, 0.0)
-        lines.append(f"    {name:<10s} {sec * 1e3:8.2f} ms")
+    lines += _phase_lines(d, DISTRIBUTED_PHASES)
     return "\n".join(lines)
+
+
+def _phase_lines(doc: Dict[str, object], phases: Tuple[str, ...]) -> List[str]:
+    """One ``name  ms  % of step wall`` line per phase."""
+    wall = doc["phase_step_wall_s"]
+    lines = []
+    for name in phases:
+        sec = doc["phases_s"].get(name, 0.0)
+        pct = 100.0 * sec / wall if wall > 0 else 0.0
+        lines.append(f"    {name:<10s} {sec * 1e3:8.2f} ms  {pct:5.1f}%")
+    return lines

@@ -57,8 +57,11 @@ segmented bincount instead of one ``np.sum``, so potentials agree with
 solo to float64 round-off rather than bitwise (trajectories depend only
 on forces).  The contract requires each segment to stay *padded-viable*
 (:func:`~repro.md.reference._padded_viable`) — a solo run on a sparse
-box would take the chunked fresh path with a different stream; the
-batched engine raises instead of silently diverging.
+box would take the chunked fresh path with a different stream.  A
+segment that leaves the dense layout is ejected instead of silently
+diverging: it is swapped out at the end of the step with a
+``REASON_LAYOUT`` record in :attr:`BatchedEngine.poison_log`, and the
+other segments continue bitwise as if it had never been admitted.
 """
 
 from __future__ import annotations
@@ -74,14 +77,24 @@ from repro.faults.health import (
     REASON_DRIFT,
     REASON_ENERGY,
     REASON_FORCE,
+    REASON_LAYOUT,
     check_system_finite,
 )
 from repro.md.cells import CellGrid
 from repro.md.cellstate import CellState, engine_pack_fn
 from repro.md.integrator import VelocityVerlet
-from repro.md.pairplan import CellPairPlan, plan_for_grid
+from repro.md.pairplan import (
+    ROWS_PER_CELL,
+    candidates_per_cell,
+    plan_for_grid,
+)
 from repro.md.backends import ForceBackend, resolve_backend
-from repro.md.reference import _cutoff_shift, _padded_viable, _FlatArtifacts
+from repro.md.reference import (
+    _PADDED_MAX_WASTE,
+    _cutoff_shift,
+    _padded_viable,
+    _FlatArtifacts,
+)
 from repro.md.system import ParticleSystem
 from repro.util.errors import ValidationError
 from repro.util.units import KCAL_MOL_TO_INTERNAL
@@ -374,20 +387,53 @@ class BatchedEngine:
     # -- packing -----------------------------------------------------------
 
     def _ensure_ready(self) -> None:
-        """Pack pending segments and prime the unprimed ones."""
+        """Pack pending segments and prime the unprimed ones.
+
+        A fresh segment whose occupancy cannot take the dense band path
+        is ejected before priming (see :meth:`_eject_layout`); the rest
+        are then packed without it.
+        """
         if not self._pack_dirty:
             return
         self._sync_segment_stats()
         self._pack_particles()
-        fresh = []
-        for seg in self._segments:
-            if seg.art is None:
-                self._build_segment(seg)
-                fresh.append(seg)
+        unfit = [
+            seg for seg in self._segments
+            if seg.art is None and not self._build_segment(seg)
+        ]
+        if unfit:
+            for seg in unfit:
+                self._eject_layout(seg)
+            self._ensure_ready()
+            return
         self._pack_stream()
         self._pack_dirty = False
+        fresh = [seg for seg in self._segments if not seg.primed]
         if fresh:
             self._prime_segments(fresh)
+
+    def _layout_record(self, seg: _Segment) -> PoisonRecord:
+        """The typed ejection record of a segment that left the dense
+        layout: ``value`` is its padded-search waste (padded distance
+        work over real candidate pairs), ``threshold`` the limit."""
+        clist = seg.state.clist
+        cand = int(candidates_per_cell(seg.plan, clist.counts).sum())
+        cap = int(clist.counts.max()) if clist.counts.size else 0
+        work = ROWS_PER_CELL * seg.plan.n_cells * cap * cap
+        return PoisonRecord(
+            handle=seg.handle,
+            step=self.step_count,
+            reason=REASON_LAYOUT,
+            value=work / (2 * cand) if cand else float("inf"),
+            threshold=_PADDED_MAX_WASTE,
+            segment_steps=self.segment_steps(seg.handle),
+        )
+
+    def _eject_layout(self, seg: _Segment) -> None:
+        """Swap out a not-yet-primed segment that cannot be batched."""
+        record = self._layout_record(seg)
+        record.system = self.remove(seg.handle)
+        self.poison_log.append(record)
 
     def _pack_particles(self) -> None:
         """Concatenate per-segment particle arrays into fresh row space."""
@@ -495,8 +541,14 @@ class BatchedEngine:
         self._g_order = np.empty(n, dtype=np.int64)
         self._g_spc_slot = np.zeros(n + 2, dtype=np.int32)
 
-    def _build_segment(self, seg: _Segment) -> None:
-        """(Re)build one segment's band lists and flat artifacts."""
+    def _build_segment(self, seg: _Segment) -> bool:
+        """(Re)build one segment's band lists and flat artifacts.
+
+        Returns False, leaving the segment's packed stream untouched,
+        when its occupancy is not padded-viable: batched stepping needs
+        the dense band path, while a solo run would take the chunked
+        fresh path with a different stream.
+        """
         lo, hi = seg.base, seg.base + seg.n
         if seg.pending is not None:
             positions = seg.pending.positions
@@ -508,11 +560,7 @@ class BatchedEngine:
         st.build(positions)
         st.last_rebuilt = True
         if not _padded_viable(seg.plan, st.clist):
-            raise ValidationError(
-                f"segment {seg.handle} occupancy is not padded-viable; "
-                "batched stepping requires the dense band path (a solo run "
-                "would take the chunked fresh path with a different stream)"
-            )
+            return False
         st.artifacts["usable"] = True
         seg.art = _FlatArtifacts(
             st.pairs, seg.plan, self._spc[lo:hi], st.clist.order
@@ -520,6 +568,7 @@ class BatchedEngine:
         seg.live = len(seg.art.a)
         self._build_pos[lo:hi] = st.build_positions
         self._cids[lo:hi] = st.cids
+        return True
 
     def _pack_stream(self) -> None:
         """Lay out every segment's pair-stream region with capacity slack."""
@@ -622,7 +671,13 @@ class BatchedEngine:
             overflow = False
             for k in idxs:
                 seg = self._segments[k]
-                self._build_segment(seg)
+                if not self._build_segment(seg):
+                    # Left the dense layout: finish this step on the
+                    # stale stream (its pairs reference only its own
+                    # slots) and eject it at the step boundary.
+                    rec = self._layout_record(seg)
+                    self._trip(int(k), rec.reason, rec.value, rec.threshold)
+                    continue
                 if seg.live > seg.cap:
                     overflow = True
                 else:

@@ -102,44 +102,63 @@ class BandPairs:
 
 def band_slot_pairs(
     plan: CellPairPlan,
-    clist: CellList,
-    packed: np.ndarray,
+    start: np.ndarray,
+    counts: np.ndarray,
+    packed_s: np.ndarray,
     offsets: np.ndarray,
     band: float,
+    homes: Optional[np.ndarray] = None,
+    cap: Optional[int] = None,
 ) -> BandPairs:
     """Run the padded-broadcast candidate search once with a widened band.
 
-    ``packed`` is the per-particle 3-vector the consumer's fresh path
-    feeds its matmuls (quantized cell fractions for the machine,
-    box-local coordinates for the float64 reference); ``offsets`` the
+    ``start``/``counts`` are the bucket layout (cell ``c`` owns slots
+    ``start[c]:start[c] + counts[c]``); ``packed_s`` is, in slot order,
+    the per-particle 3-vector the consumer's fresh path feeds its
+    matmuls (quantized cell fractions for the machine, box-local
+    coordinates for the float64 reference); ``offsets`` the
     corresponding per-offset displacement (cell units or angstrom);
     ``band`` the widened squared-distance bound *including* the
-    conservative float32 margin.  The returned lists enumerate, per
-    offset, every flat (cell, slot_i, slot_j) whose float32 banded
-    ``r2`` passes — a superset of anything the fresh path can admit
-    while no particle has moved more than skin/2.
+    conservative float32 margin.  ``homes`` (ascending cell ids,
+    default every cell) restricts the search to those cells' plan rows
+    — a distributed node's home cells; their neighbor cells are read
+    from the same bucket layout.  ``cap`` (default: the largest
+    occupancy) pads every bucket; callers searching several layouts
+    pass one common value so the plan's decode tables stay cached.
+    The returned lists enumerate, per offset, every flat (cell,
+    slot_i, slot_j) whose float32 banded ``r2`` passes — a superset of
+    anything the fresh path can admit while no particle has moved more
+    than skin/2.
     """
-    order, start, counts = clist.order, clist.start, clist.counts
     C = plan.n_cells
-    cap = int(counts.max())
-    n = len(packed)
-    packed_s = packed[order]
-    within = np.arange(n, dtype=np.int64) - start[clist.sorted_cids]
+    if cap is None:
+        cap = int(counts.max()) if counts.size else 0
+    whole = homes is None
+    if whole:
+        homes = np.arange(C, dtype=np.int64)
+    n = len(packed_s)
+    slot_cid = np.repeat(np.arange(C, dtype=np.int64), counts)
+    within = np.arange(n, dtype=np.int64) - start[slot_cid]
     P = np.zeros((C, cap, 3), dtype=np.float32)
-    P[clist.sorted_cids, within] = packed_s.astype(np.float32)
+    P[slot_cid, within] = packed_s.astype(np.float32)
     padm = np.arange(cap)[None, :] >= counts[:, None]
     S = np.einsum("cix,cix->ci", P, P, dtype=np.float32)
     S[padm] = np.inf
 
     nbr_mat = plan.nbr.reshape(C, ROWS_PER_CELL)
     band32 = np.float32(band)
+    nh = len(homes)
+    span = nh * cap * cap
     cell_of, i_of, j_of = plan.padded_decode(cap)
-    a_of = start[cell_of] + i_of
+    cell_of, i_of, j_of = cell_of[:span], i_of[:span], j_of[:span]
+    Ph = P[homes]
+    Sh = (S[homes] - band32) * np.float32(0.5)
+    a_of = start[homes][cell_of] + i_of
     iu = np.arange(cap)
     tri = iu[:, None] < iu[None, :]
-    mask = np.empty((C, cap, cap), dtype=bool)
-    G = np.empty((C, cap, cap), dtype=np.float32)
-    H = np.empty((C, cap, cap), dtype=np.float32)
+    mask = np.empty((nh, cap, cap), dtype=bool)
+    G = np.empty((nh, cap, cap), dtype=np.float32)
+    H = np.empty((nh, cap, cap), dtype=np.float32)
 
     aa: List[np.ndarray] = []
     bb: List[np.ndarray] = []
@@ -147,25 +166,21 @@ def band_slot_pairs(
     jj: List[np.ndarray] = []
     segs = np.zeros(ROWS_PER_CELL + 1, dtype=np.int64)
     for k in range(ROWS_PER_CELL):
-        nb = nbr_mat[:, k]
+        nb = nbr_mat[homes, k]
         Q = P[nb] + offsets[k].astype(np.float32)
         Sq = np.einsum("cix,cix->ci", Q, Q, dtype=np.float32)
         Sq[padm[nb]] = np.inf
-        np.matmul(P, Q.transpose(0, 2, 1), out=G)
-        np.add(
-            ((S - band32) * np.float32(0.5))[:, :, None],
-            (Sq * np.float32(0.5))[:, None, :],
-            out=H,
-        )
+        np.matmul(Ph, Q.transpose(0, 2, 1), out=G)
+        np.add(Sh[:, :, None], (Sq * np.float32(0.5))[:, None, :], out=H)
         np.greater(G, H, out=mask)
         if k == 0:
             mask &= tri
         flat = np.flatnonzero(mask.reshape(-1))
-        c = cell_of[flat].astype(np.int64)
+        cl = cell_of[flat].astype(np.int64)
         js = j_of[flat].astype(np.int64)
         aa.append(a_of[flat])
-        bb.append(start[nb][c] + js)
-        cc.append(c)
+        bb.append(start[nb][cl] + js)
+        cc.append(cl if whole else homes[cl])
         jj.append(js)
         segs[k + 1] = segs[k] + len(flat)
     return BandPairs(
@@ -299,7 +314,10 @@ class CellState:
         clist = CellList(self.grid, positions)
         coords = self.grid.coords_of_positions(positions)
         packed, offsets, band = self._pack_fn(positions)
-        pairs = band_slot_pairs(self.plan, clist, packed, offsets, band)
+        pairs = band_slot_pairs(
+            self.plan, clist.start, clist.counts, packed[clist.order],
+            offsets, band,
+        )
         self.clist = clist
         self.coords = coords
         self.cids = self.grid.cell_id(coords)

@@ -20,6 +20,7 @@ from repro.core.sync import run_chained_sync
 from repro.eventsim import EventSimulator
 from repro.faults import FaultInjector, FaultPlan, TransportConfig
 from repro.md import build_dataset
+from repro.oracles import exchange_positions_loop
 from repro.network.fabric import LinkStats
 from repro.network.netsim import Burst, OutputQueuedSwitch, SwitchStats
 from repro.network.topology import TorusTopology
@@ -324,9 +325,9 @@ class TestMachineFaults:
             cfg, system=system.copy(),
             injector=FaultInjector(FaultPlan(seed=1)),
         )
-        m.exchange_impl = "loop"
+        nodes = m._build_nodes()
         with pytest.raises(ConfigError):
-            m.compute_forces()
+            exchange_positions_loop(m, nodes)
 
     def test_faulty_runs_reproducible(self, dataset):
         cfg, system = dataset

@@ -316,6 +316,84 @@ class TestJournalAndResume:
             run_jobs(q, resume=True)
 
 
+class TestLayoutEjection:
+    """A job that drifts out of the dense batch layout is ejected and
+    finished solo; the drain survives and its neighbours are untouched.
+
+    ``build_dataset((3, 3, 3), particles_per_cell=2, seed=92)`` leaves
+    the padded-viable occupancy at step 341.
+    """
+
+    STEPS = 400
+
+    def _drain(self, impl, with_bad, guard=None, retry_attempts=0):
+        q = JobQueue()
+        ids = {}
+        if with_bad:
+            s, g = build_dataset((3, 3, 3), particles_per_cell=2, seed=92)
+            ids["bad"] = q.submit(s, g, steps=self.STEPS)
+        for seed in (93, 94):
+            s, g = build_dataset((3, 3, 3), particles_per_cell=2, seed=seed)
+            ids[seed] = q.submit(s, g, steps=self.STEPS)
+        summary = run_jobs(
+            q, force_impl=impl, guard=guard, retry_attempts=retry_attempts,
+            chunk_steps=50,
+        )
+        return q, ids, summary
+
+    @pytest.mark.parametrize("impl", BACKENDS)
+    @pytest.mark.parametrize("guarded", [False, True])
+    def test_ejected_job_finishes_solo_bitwise(self, impl, guarded):
+        from repro.md.batch import solo_oracle_impl
+        from repro.md.engine import ReferenceEngine
+
+        kwargs = (
+            dict(guard=GuardConfig(), retry_attempts=1) if guarded else {}
+        )
+        q, ids, summary = self._drain(impl, True, **kwargs)
+        assert summary["solo_reruns"] == 1
+        assert summary["quarantined"] == 0 and summary["retries"] == 0
+        assert q.status(ids["bad"]) == DONE
+        s, g = build_dataset((3, 3, 3), particles_per_cell=2, seed=92)
+        solo = ReferenceEngine(
+            s, g, reuse_state=True, force_impl=solo_oracle_impl(impl)
+        )
+        solo.run(self.STEPS, record_every=0)
+        got = q.result(ids["bad"])
+        assert np.array_equal(got.positions, solo.system.positions)
+        assert np.array_equal(got.velocities, solo.system.velocities)
+        assert np.array_equal(got.forces, solo.system.forces)
+        # Co-batched neighbours: bitwise as if the job was never there.
+        q0, ids0, _ = self._drain(impl, False, **kwargs)
+        for seed in (93, 94):
+            a, b = q.result(ids[seed]), q0.result(ids0[seed])
+            assert np.array_equal(a.positions, b.positions)
+            assert np.array_equal(a.velocities, b.velocities)
+
+    def test_unfit_admission_ejected_before_priming(self):
+        from repro.faults.health import REASON_LAYOUT
+        from repro.md.batch import BatchedEngine
+
+        dense, g = build_dataset((3, 3, 3), particles_per_cell=2, seed=93)
+        sparse = dense.copy()
+        # Pile every particle into one corner cell.
+        sparse.positions[:] = sparse.positions % (g.cell_edge * 0.9)
+        be = BatchedEngine()
+        bad = be.add(sparse, g)
+        good = be.add(dense.copy(), g)
+        be.step(2)
+        assert [r.reason for r in be.poison_log] == [REASON_LAYOUT]
+        assert be.poison_log[0].handle == bad
+        assert be.poison_log[0].segment_steps == 0
+        assert be.handles() == [good]
+        alone = BatchedEngine()
+        only = alone.add(dense.copy(), g)
+        alone.step(2)
+        got, want = be.extract(good), alone.extract(only)
+        assert np.array_equal(got.positions, want.positions)
+        assert np.array_equal(got.velocities, want.velocities)
+
+
 class TestJobSoak:
     def test_soak_smoke(self, tmp_path):
         from repro.harness.faultsweep import format_job_soak, run_job_soak

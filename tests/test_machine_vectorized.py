@@ -20,6 +20,7 @@ from repro.core.config import MachineConfig
 from repro.core.distributed import DistributedMachine
 from repro.core.machine import FasdaMachine
 from repro.md import build_dataset
+from repro.oracles import exchange_positions_loop
 
 GRIDS = [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)]
 
@@ -112,9 +113,11 @@ class TestPairPathEquivalence:
 
 class TestDistributedExchangeEquivalence:
     def _exchange_signature(self, machine, impl):
-        machine.exchange_impl = impl
         nodes = machine._build_nodes()
-        machine._exchange_positions(nodes)
+        if impl == "loop":
+            exchange_positions_loop(machine, nodes)
+        else:
+            machine._exchange_positions(nodes)
         sig = {}
         for nid in sorted(nodes):
             node = nodes[nid]
@@ -144,7 +147,10 @@ class TestDistributedExchangeEquivalence:
         counts = {}
         for impl in ("batched", "loop"):
             d = DistributedMachine(cfg, system=system.copy())
-            d.exchange_impl = impl
+            if impl == "loop":
+                d._exchange_positions = lambda nodes, d=d: (
+                    exchange_positions_loop(d, nodes)
+                )
             d.run(2)
             counts[impl] = (d.total_position_packets, d.total_force_packets)
         assert counts["batched"] == counts["loop"]

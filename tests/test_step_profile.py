@@ -399,6 +399,25 @@ class TestRunProfileDocument:
         for name in DISTRIBUTED_PHASES:
             assert name in doc["distributed"]["phases_s"]
 
+    @pytest.mark.parametrize(
+        "section, phases",
+        [("machine", MACHINE_PHASES), ("distributed", DISTRIBUTED_PHASES)],
+    )
+    def test_phase_tables_time_only_the_timed_steps(self, doc, section, phases):
+        """The machines are primed before the timed window, so each
+        timed step is exactly one force pass and the exclusive phases
+        add up to the measured step wall."""
+        d = doc[section]
+        steps = d["phase_steps"]
+        for name in ("build", "force"):
+            assert d["phase_calls"][name] == steps, name
+        wall = d["phase_step_wall_s"]
+        excl = sum(d["phases_s"][p] for p in phases) - d["phases_s"].get(
+            "ring", 0.0
+        )
+        assert d["phases_s"]["force"] <= wall
+        assert abs(wall - excl) <= 0.05 * wall
+
     def test_points_feed_the_regression_gate(self, doc):
         assert check_regression(doc, doc) == []
         worse = {
