@@ -11,16 +11,16 @@ force time (the plan is cached per grid geometry and amortizes to zero).
 Two further sections cover the simulated machine step (PR 2):
 
 * ``machine_step`` — one `FasdaMachine.compute_forces` pass with traffic
-  accounting on/off, vectorized (padded pair path + group-by traffic)
-  vs the retained loop oracles, with in-bench equivalence asserts on
-  the full `StepStats`;
+  accounting on/off (node kernel over a fresh band + group-by traffic)
+  vs the chunked/loop oracle `repro.oracles.machine_pass_chunked`,
+  with in-bench equivalence asserts on the full `StepStats`;
 * ``distributed_step`` — one `DistributedMachine` step, serial vs
   thread-pooled node evaluation and batched vs per-record exchange,
   with a bitwise force comparison between the modes.
 
 A ``backends`` section (PR 6) times every *available* force backend
-(``numpy``/``soa`` always; ``numba``/``cext`` when importable or
-buildable — see `repro.md.backends`): engine reuse steps/s and one
+(``numpy``/``soa`` always; ``cext`` when buildable — see
+`repro.md.backends`): engine reuse steps/s and one
 machine force pass per backend, each validated in-bench against the
 float64 loop oracle (forces/energy within the documented bounds) and
 against the numpy backend's `StepStats` (exact).  Every record carries
@@ -69,6 +69,7 @@ from repro.md.reference import (
     compute_forces_cells,
     compute_forces_cells_loop,
 )
+from repro.oracles import machine_pass_chunked
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -371,32 +372,26 @@ def _fpga_grid_for(dims) -> tuple:
 
 
 def bench_machine_step(label: str, dims, reps: int) -> dict:
-    """One compute_forces pass: vectorized (padded + group-by traffic)
-    vs the loop oracles, traffic on and off."""
+    """One compute_forces pass (node kernel + group-by traffic) vs the
+    chunked/loop oracle, traffic on and off."""
     fpga_grid = _fpga_grid_for(dims)
     machine = FasdaMachine(MachineConfig(dims, fpga_grid))
     machine.compute_forces()  # warm plan/table/decode caches
 
-    # Equivalence before speed: full StepStats must match the oracles.
-    machine.pair_path, machine.traffic_impl = "auto", "vectorized"
+    # Equivalence before speed: full StepStats must match the oracle.
     s_vec = machine.compute_forces(collect_traffic=True)
-    machine.pair_path, machine.traffic_impl = "chunked", "loop"
-    s_loop = machine.compute_forces(collect_traffic=True)
+    s_loop, _ = machine_pass_chunked(machine)
     assert _stats_signature(s_vec) == _stats_signature(s_loop), (
         "vectorized StepStats diverged from the loop oracle"
     )
 
-    machine.pair_path, machine.traffic_impl = "auto", "vectorized"
     t_traffic = _median_time(
         lambda: machine.compute_forces(collect_traffic=True), reps
     )
     t_no_traffic = _median_time(
         lambda: machine.compute_forces(collect_traffic=False), reps
     )
-    machine.pair_path, machine.traffic_impl = "chunked", "loop"
-    t_loop = _median_time(
-        lambda: machine.compute_forces(collect_traffic=True), reps
-    )
+    t_loop = _median_time(lambda: machine_pass_chunked(machine), reps)
 
     result = {
         "label": label,

@@ -504,9 +504,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "for `campaign`: force backend for all points "
-            "(numpy/soa/numba/cext; default numpy; an unavailable "
-            "optional backend falls back to numpy). Per-backend extra "
-            "points run regardless and record their own backend."
+            "(numpy/soa/cext; default numpy; cext falls back to numpy "
+            "when it cannot be built; any other name is an error). "
+            "Per-backend extra points run regardless and record their "
+            "own backend."
         ),
     )
     parser.add_argument(

@@ -1539,45 +1539,13 @@ class DistributedMachine(_Datapath):
 
     # -- integration ------------------------------------------------------------
 
+    def _force_pass(self, collect_traffic: bool) -> float:
+        return self.compute_forces()
+
     def step(self) -> float:
-        """One distributed timestep (identical integrator to the machine)."""
-        if not self._primed:
-            self.compute_forces()
-            self._primed = True
-        dt = np.float32(self.config.dt_fs)
-        with self.timings.phase("integrate"):
-            accel = self._accel32(self._forces32)
-            delta = (
-                self._velocities32 * dt + np.float32(0.5) * accel * dt * dt
-            ).astype(np.float64)
-            self.system.positions += delta
-            self.system.wrap()
-        self.compute_forces()
-        with self.timings.phase("integrate"):
-            accel_new = self._accel32(self._forces32)
-            self._velocities32 += np.float32(0.5) * (accel + accel_new) * dt
-            self.system.velocities[:] = self._velocities32
-            self.system.forces[:] = self._forces32
-        return self._last_potential
+        """One distributed timestep (the machine's float32 integrator)."""
+        return self._verlet_step(False)
 
     def run(self, n_steps: int, record_every: int = 1) -> List[EnergyRecord]:
         """Run steps with energy recording (same schema as the machine)."""
-        if n_steps < 0:
-            raise ValidationError("n_steps must be >= 0")
-        appended: List[EnergyRecord] = []
-        if not self._primed:
-            self.compute_forces()
-            self._primed = True
-            rec = EnergyRecord(0, self.kinetic_energy(), self._last_potential)
-            self.history.append(rec)
-            appended.append(rec)
-        start = self.history[-1].step if self.history else 0
-        for i in range(1, n_steps + 1):
-            self.step()
-            if record_every and i % record_every == 0:
-                rec = EnergyRecord(
-                    start + i, self.kinetic_energy(), self._last_potential
-                )
-                self.history.append(rec)
-                appended.append(rec)
-        return appended
+        return self._verlet_run(n_steps, record_every, False)

@@ -44,19 +44,13 @@ from repro.core.timing import StepTimings
 from repro.md.cells import CellGrid, CellList, HALF_SHELL_OFFSETS
 from repro.md.dataset import build_dataset
 from repro.md.kernels import scatter_add
-from repro.md.pairplan import (
-    ROWS_PER_CELL,
-    candidates_per_cell,
-    iter_pair_chunks,
-    plan_for_grid,
-)
+from repro.md.pairplan import ROWS_PER_CELL, candidates_per_cell, plan_for_grid
 from repro.md.cellstate import CellState, band_slot_pairs, machine_pack_fn
 from repro.md.backends import (
     admit_flat_numpy,
     resolve_backend,
     traffic_flat_numpy,
 )
-from repro.md.reference import _padded_viable
 from repro.md.engine import EnergyRecord
 from repro.md.system import ParticleSystem
 from repro.network.fabric import Fabric
@@ -310,7 +304,8 @@ class NodeKernel:
         flat (cell, slot_i, slot_j) order, a superset of the admissible
         pairs, and the float32 cutoff test of ``admit_flat`` is exactly
         the :meth:`~repro.core.datapath.PairFilter.admit_r2` admission
-        of the chunked oracle — so the admitted pair *sequence*, every
+        of the chunked oracle (:func:`repro.oracles.machine_pass_chunked`)
+        — so the admitted pair *sequence*, every
         pipeline input, and the per-offset accumulation grouping do not
         depend on the band.  The pipeline math restates
         :class:`~repro.core.datapath.ForcePipeline` over pre-gathered
@@ -332,9 +327,8 @@ class NodeKernel:
         # Fused admission (see repro.md.backends): the compiled kernels
         # want compacted output arrays, the numpy one whole-band work
         # arrays; both return views into this arena scratch.
-        compiled = backend.name in ("numba", "cext")
-        if backend.admit_flat is not None and compiled:
-            admit = backend.admit_flat
+        admit = backend.admit_flat or admit_flat_numpy
+        if admit is not admit_flat_numpy:
             scratch = (
                 ar.get("adm_idx", L, np.int64),
                 ar.get("adm_r2", L, np.float32),
@@ -343,7 +337,6 @@ class NodeKernel:
                 ar.get("adm_dz", L, np.float32),
             )
         else:
-            admit = backend.admit_flat or admit_flat_numpy
             scratch = (
                 ar.get("adm_dx", L, np.float32),
                 ar.get("adm_dy", L, np.float32),
@@ -656,6 +649,71 @@ class _Datapath:
         factor = (KCAL_MOL_TO_INTERNAL / self.system.masses).astype(np.float32)
         return forces * factor[:, None]
 
+    # -- the float32 Verlet integrator (motion-update units) -------------------
+
+    def _force_pass(self, collect_traffic: bool) -> float:
+        """One force pass into ``_forces32``; returns its potential."""
+        raise NotImplementedError
+
+    def _count_migrations(self, before: np.ndarray) -> None:
+        """Hook after a step's drift; ``before`` holds the old positions."""
+
+    def _verlet_step(self, collect_traffic: bool) -> float:
+        """Advance one velocity-Verlet timestep; returns the new potential.
+
+        The motion-update unit integrates in float32; positions are held
+        as fixed-point cell offsets, re-quantized when the position
+        caches are rebuilt at the start of the next force phase.
+        """
+        if not self._primed:
+            self._last_potential = self._force_pass(collect_traffic)
+            self._primed = True
+        with self.timings.phase("integrate"):
+            dt = np.float32(self.config.dt_fs)
+            accel = self._accel32(self._forces32)
+            delta = (
+                self._velocities32 * dt + np.float32(0.5) * accel * dt * dt
+            ).astype(np.float64)
+            before = self.system.positions.copy()
+            self.system.positions += delta
+            self.system.wrap()
+            self._count_migrations(before)
+        self._last_potential = self._force_pass(collect_traffic)
+        with self.timings.phase("integrate"):
+            accel_new = self._accel32(self._forces32)
+            self._velocities32 += np.float32(0.5) * (accel + accel_new) * dt
+            # Keep the public system state consistent with the VC/FC
+            # caches so analysis code sees the datapath's actual
+            # trajectory.
+            self.system.velocities[:] = self._velocities32
+            self.system.forces[:] = self._forces32
+        return self._last_potential
+
+    def _verlet_run(
+        self, n_steps: int, record_every: int, collect_traffic: bool
+    ) -> List[EnergyRecord]:
+        """``n_steps`` Verlet steps, appending an :class:`EnergyRecord`
+        every ``record_every`` steps (plus step 0 when priming)."""
+        if n_steps < 0:
+            raise ValidationError("n_steps must be >= 0")
+        appended: List[EnergyRecord] = []
+        if not self._primed:
+            self._last_potential = self._force_pass(collect_traffic)
+            self._primed = True
+            rec = EnergyRecord(0, self.kinetic_energy(), self._last_potential)
+            self.history.append(rec)
+            appended.append(rec)
+        start = self.history[-1].step if self.history else 0
+        for i in range(1, n_steps + 1):
+            self._verlet_step(collect_traffic)
+            if record_every and i % record_every == 0:
+                rec = EnergyRecord(
+                    start + i, self.kinetic_energy(), self._last_potential
+                )
+                self.history.append(rec)
+                appended.append(rec)
+        return appended
+
 
 class FasdaMachine(_Datapath):
     """Functional + statistical simulator of a FASDA deployment.
@@ -715,17 +773,9 @@ class FasdaMachine(_Datapath):
         # carries every (home, neighbor, shift) triple as flat arrays.
         self._plan = plan_for_grid(self.grid)
         self._neighbor_cids = self._plan.neighbor_ids
-        #: Pair enumeration path: "auto" (the :class:`NodeKernel` over a
-        #: padded band search when the box is dense enough, else
-        #: chunked), "padded", or "chunked" (the retained PairFilter
-        #: oracle).  Both paths admit bitwise-identical pair sets.
-        self.pair_path = "auto"
-        #: Traffic accounting implementation: "vectorized" (group-by
-        #: passes) or "loop" (the retained per-row oracle).
-        self.traffic_impl = "vectorized"
         #: Force backend (see :mod:`repro.md.backends`): ``None`` uses
         #: the process-wide default, ``"numpy"`` the numpy kernel
-        #: sequence, ``"soa"``/``"numba"``/``"cext"`` fused kernels.
+        #: sequence, ``"soa"``/``"cext"`` fused kernels.
         #: The float64 recheck of
         #: :meth:`~repro.core.datapath.PairFilter.admit_r2` (and its
         #: arithmetic restatements) stays authoritative on every
@@ -737,9 +787,7 @@ class FasdaMachine(_Datapath):
         #: skin-banded :class:`~repro.md.cellstate.CellState`, rebuilt on
         #: the skin/2 displacement criterion or any cell reassignment.
         #: Forces, energies and all workload statistics stay bitwise
-        #: identical to the rebuild-every-step path.  Honored only where
-        #: the fresh path would take the padded band search;
-        #: ``pair_path="chunked"`` disables it.
+        #: identical to the rebuild-every-step path.
         self.reuse_state = False
         #: Skin margin (angstrom) for the persistent state's band lists.
         self.reuse_skin = 0.15 * config.cutoff
@@ -764,47 +812,23 @@ class FasdaMachine(_Datapath):
 
     # -- force evaluation ------------------------------------------------------
 
-    def _pipelines(
-        self,
-        dr: np.ndarray,
-        r2: np.ndarray,
-        gi: np.ndarray,
-        gj: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """All force pipelines over one admitted pair block.
-
-        The LJ pipeline always runs; with ``force_model="lj+coulomb"``
-        the Ewald pipeline consumes the *same* filtered pairs — in
-        hardware the two pipelines sit side by side behind one filter
-        bank, which is why the paper calls them "nearly identical".
-        """
-        spc = self.system.species
-        f, e = self.pipeline.compute(dr, r2, spc[gi], spc[gj])
-        if self.coulomb_pipeline is not None:
-            qq = self._charges32[gi] * self._charges32[gj]
-            fc, ec = self.coulomb_pipeline.compute(dr, r2, qq)
-            f = f + fc
-            e = e + ec
-        return f, e
-
     def compute_forces(self, collect_traffic: bool = True) -> StepStats:
         """One full force-evaluation pass through the modeled datapath.
 
         Updates the internal float32 force banks and returns workload
         statistics.  Does not advance time.
 
-        Dense boxes (the paper's 64-per-cell workload) run the
-        :class:`NodeKernel` over band lists from the padded-broadcast
-        search: candidate squared distances come from batched per-cell
-        float32 matmuls, a conservative band keeps every possible
-        admission, and the kernel's exact recheck admits the same pair
-        set as the real :class:`~repro.core.datapath.PairFilter` — so
-        every ``dr``/``r2`` entering the pipelines and all integer
-        workload statistics are bit-identical to the chunked
-        enumeration (``pair_path="chunked"``), which remains the
-        fallback for sparse or skewed occupancies and the oracle.
-        Traffic accounting runs as vectorized group-by passes
-        (``traffic_impl="loop"`` selects the retained per-row oracle).
+        The :class:`NodeKernel` walks band lists: the persistent
+        skin-banded lists of the :class:`~repro.md.cellstate.CellState`
+        when ``reuse_state`` is on, else those of a fresh skinless band
+        search (batched per-cell float32 matmuls with a conservative
+        band).  The kernel's exact recheck admits the same pair set as
+        the real :class:`~repro.core.datapath.PairFilter`, so every
+        pipeline input and all integer workload statistics are
+        bit-identical to the chunked enumeration of
+        :func:`repro.oracles.machine_pass_chunked`, the oracle this pass
+        is checked against.  Traffic accounting runs as vectorized
+        group-by passes.
         """
         cfg = self.config
         grid = self.grid
@@ -813,8 +837,10 @@ class FasdaMachine(_Datapath):
         n = self.system.n
         n_cells = grid.n_cells
         with self.timings.phase("build"):
-            state = self._ensure_cell_state(pos) if self.reuse_state else None
-            if state is not None:
+            state = None
+            if self.reuse_state:
+                state = self.ensure_cell_state()
+                state.ensure(pos)
                 clist = state.clist
                 coords = state.coords
             else:
@@ -841,54 +867,30 @@ class FasdaMachine(_Datapath):
         uniq_per_row = np.zeros(plan.n_rows, dtype=np.int64)
 
         with self.timings.phase("force"):
-            use_band = state is not None or (
-                self.pair_path != "chunked"
-                and (self.pair_path == "padded" or _padded_viable(plan, clist))
+            potential = self._eval_band(
+                state, clist, frac, home_bank, nbr_bank, accepted,
+                uniq_per_row,
             )
-            if use_band:
-                potential = self._eval_band(
-                    state, clist, frac, home_bank, nbr_bank, accepted,
-                    uniq_per_row,
-                )
-            else:
-                potential = self._eval_chunked(
-                    clist, frac, home_bank, nbr_bank, accepted, uniq_per_row,
-                )
 
         nbr_frc_records = np.zeros(n_cells, dtype=np.int64)
         scatter_add(nbr_frc_records, plan.home, uniq_per_row)
 
         occupancy = clist.occupancies()
         if collect_traffic:
-            account = (
-                self._account_traffic_loop
-                if self.traffic_impl == "loop"
-                else self._account_traffic
-            )
             with self.timings.phase("traffic"):
                 position_records, force_records, pr_models, fr_models = (
-                    account(clist.counts, occupancy, uniq_per_row)
+                    self._account_traffic(clist.counts, occupancy, uniq_per_row)
                 )
         else:
             position_records = {}
             force_records = {}
-            pr_models = {
-                n_: RingLoadModel(RingPath(self._ring_slots, +1))
-                for n_ in range(cfg.n_fpgas)
-            }
-            fr_models = {
-                n_: RingLoadModel(RingPath(self._ring_slots, -1))
-                for n_ in range(cfg.n_fpgas)
-            }
+            pr_models, fr_models = self._traffic_models()
 
         # Adder-tree combination of the FC banks (Sec. 4.5).  The
         # kernel's banks are slot-indexed; put them back in particle
         # order.
-        if use_band:
-            self._forces32 = np.empty_like(home_bank)
-            self._forces32[clist.order] = home_bank + nbr_bank
-        else:
-            self._forces32 = home_bank + nbr_bank
+        self._forces32 = np.empty_like(home_bank)
+        self._forces32[clist.order] = home_bank + nbr_bank
 
         stats = StepStats(
             candidates_per_cell=candidates,
@@ -902,10 +904,9 @@ class FasdaMachine(_Datapath):
             neighbor_force_records_per_cell=nbr_frc_records,
             timings=self.timings.snapshot(),
         )
-        if self.reuse_state:
-            cs = self._cell_state
-            stats.state_builds = cs.builds if cs is not None else 0
-            stats.state_reused = state is not None and not state.last_rebuilt
+        if state is not None:
+            stats.state_builds = state.builds
+            stats.state_reused = not state.last_rebuilt
         self.last_stats = stats
         return stats
 
@@ -929,23 +930,6 @@ class FasdaMachine(_Datapath):
             )
         return self._cell_state
 
-    def _ensure_cell_state(self, pos: np.ndarray) -> Optional[CellState]:
-        """Bring the persistent :class:`CellState` up to date, or decline.
-
-        Returns the state when the reuse path applies this step, else
-        None (``pair_path="chunked"``, or the fresh auto path would not
-        take the padded band search for this box — reuse only ever
-        replaces a fresh band search).
-        """
-        if self.pair_path == "chunked":
-            return None
-        state = self.ensure_cell_state()
-        if state.ensure(pos):
-            state.artifacts["usable"] = self.pair_path == "padded" or _padded_viable(
-                self._plan, state.clist
-            )
-        return state if state.artifacts.get("usable") else None
-
     def _eval_band(
         self,
         state: Optional[CellState],
@@ -959,10 +943,10 @@ class FasdaMachine(_Datapath):
         """Whole-box :class:`NodeKernel` pass into slot-indexed banks.
 
         Over the persistent skin-banded lists of ``state`` when reuse is
-        on, else over a fresh skinless band search (the dense padded
-        path: the search does ``ROWS_PER_CELL * C * cap^2`` work however
-        full the buckets are).  Both admit bitwise the same pair
-        sequence (see :meth:`NodeKernel.evaluate`).
+        on, else over a fresh skinless band search (``ROWS_PER_CELL *
+        cap^2`` work per occupied cell however full the buckets are).
+        Both admit bitwise the same pair sequence (see
+        :meth:`NodeKernel.evaluate`).
         """
         order = clist.order
         art = state.artifacts.get("machine") if state is not None else None
@@ -1003,63 +987,6 @@ class FasdaMachine(_Datapath):
             *fs, art, home_bank, nbr_bank, accepted, uniq_per_row,
             resolve_backend(self.force_impl), ar,
         )
-
-    def _eval_chunked(
-        self,
-        clist: CellList,
-        frac: np.ndarray,
-        home_bank: np.ndarray,
-        nbr_bank: np.ndarray,
-        accepted: np.ndarray,
-        uniq_per_row: np.ndarray,
-    ) -> np.float32:
-        """Gather-enumerated datapath pass (the original hot loop).
-
-        All candidate pairs flow through the filter and the force
-        pipelines in step-wide batches from the shared pair plan; kept
-        as the general path for sparse/skewed boxes and as the oracle
-        the kernel path is asserted against.
-        """
-        plan = self._plan
-        n = np.int64(self.system.n)
-        potential = np.float32(0.0)
-        backend = resolve_backend(self.force_impl)
-        for chunk in iter_pair_chunks(plan, clist.counts, clist.start, clist.order):
-            # Displacement home - neighbor = frac_h - offset - frac_n
-            # (offset zero on home-home rows), exact in float64 for
-            # quantized fractions.
-            if backend.screen_dr is not None:
-                # Fused gather/displacement kernel; r2 comes from the
-                # reference einsum reduction on bitwise-identical dr,
-                # so the filter sees bit-for-bit the same inputs.
-                dr, r2 = backend.screen_dr(
-                    frac, chunk.ii, chunk.jj, plan.offset, chunk.row
-                )
-                res = self.filter.admit_r2(r2)
-            else:
-                dr = frac[chunk.ii] - frac[chunk.jj] - plan.offset[chunk.row]
-                res = self.filter.check(dr)
-            if not res.n_accepted:
-                continue
-            m = res.mask
-            ii = chunk.ii[m]
-            jj = chunk.jj[m]
-            row = chunk.row[m]
-            scatter_add(accepted, plan.home[row])
-            f, e = self._pipelines(dr[m], res.r2, ii, jj)
-            sel = plan.is_self[row]
-            scatter_add(home_bank, ii, f)
-            if sel.any():
-                scatter_add(home_bank, jj[sel], -f[sel])
-            nsel = ~sel
-            if nsel.any():
-                scatter_add(nbr_bank, jj[nsel], -f[nsel])
-                # Unique (row, neighbor particle) keys; chunks carry
-                # whole rows, so per-chunk uniqueness is per-block exact.
-                keys = np.unique(row[nsel] * n + jj[nsel])
-                scatter_add(uniq_per_row, keys // n)
-            potential += e.sum(dtype=np.float32)
-        return potential
 
     # -- traffic accounting ----------------------------------------------------
 
@@ -1113,8 +1040,8 @@ class FasdaMachine(_Datapath):
     ]:
         """Vectorized traffic accounting over the active neighbor rows.
 
-        Replaces the per-row Python loop (retained as
-        :meth:`_account_traffic_loop`) with group-by passes over
+        Restates the per-row walk of the oracle
+        (:func:`repro.oracles.machine_pass_chunked`) as group-by passes over
         composite (cell, node, slot) keys — through the backend
         ``traffic_flat`` kernel when the active backend compiles one
         (:func:`~repro.md.backends.traffic_flat_numpy` otherwise) — and
@@ -1226,147 +1153,29 @@ class FasdaMachine(_Datapath):
 
         return position_records, force_records, pr_models, fr_models
 
-    def _account_traffic_loop(
-        self,
-        counts: np.ndarray,
-        occupancy: np.ndarray,
-        uniq_per_row: np.ndarray,
-    ) -> Tuple[
-        Dict[Tuple[int, int], int],
-        Dict[Tuple[int, int], int],
-        Dict[int, RingLoadModel],
-        Dict[int, RingLoadModel],
-    ]:
-        """Per-row traffic accounting (the original loop), retained as the
-        equivalence oracle for :meth:`_account_traffic`."""
-        position_records: Dict[Tuple[int, int], int] = {}
-        force_records: Dict[Tuple[int, int], int] = {}
-        pr_models, fr_models = self._traffic_models()
-        plan = self._plan
-        # (source cell, dest node) pairs that carried at least one position.
-        pos_sent: Dict[Tuple[int, int], bool] = {}
-        # Position-ring destinations per (node, source slot) for broadcasts.
-        pr_dests: Dict[Tuple[int, int], List[int]] = {}
-        pr_counts: Dict[Tuple[int, int], int] = {}
-        for r in self._position_rows(counts):
-            # Position stream: source cell -> home node (dedup per node).
-            home_node = int(self._cell_node[plan.home[r]])
-            pos_sent[(int(plan.nbr[r]), home_node)] = True
-        for r in self._active_neighbor_rows(counts):
-            cid = int(plan.home[r])
-            ncid = int(plan.nbr[r])
-            home_node = int(self._cell_node[cid])
-            home_slot = int(self._cell_ring_slot[cid])
-            src_node = int(self._cell_node[ncid])
-            # Ring broadcast bookkeeping.
-            key = (
-                home_node,
-                int(self._cell_ring_slot[ncid])
-                if src_node == home_node
-                else self._ex_slot + 10_000 + ncid,
-            )
-            pr_dests.setdefault(key, []).append(home_slot)
-            pr_counts[key] = int(counts[ncid])
-            uniq = int(uniq_per_row[r])
-            if uniq:
-                if src_node != home_node:
-                    key2 = (home_node, src_node)
-                    force_records[key2] = force_records.get(key2, 0) + uniq
-                # Force-ring injection: evaluating CBB -> home CBB
-                # (or EX when remote).
-                dst_slot = (
-                    int(self._cell_ring_slot[ncid])
-                    if src_node == home_node
-                    else self._ex_slot
-                )
-                fr_models[home_node].inject(home_slot, dst_slot, uniq)
-
-        # Replay position broadcasts: one ring traversal per source
-        # stream, visiting all destination CBBs (Sec. 4.5 semantics).
-        for (node, src_key), dests in pr_dests.items():
-            src_slot = src_key if src_key < self._ring_slots else self._ex_slot
-            pr_models[node].broadcast(src_slot, dests, pr_counts[(node, src_key)])
-        # Remote arriving forces also ride the destination node's FR
-        # from EX to the home CBB.
-        for (src, dst), recs in force_records.items():
-            # records arrive at node dst via EX; home cells unknown at
-            # this granularity — charge the mean path (EX to mid-ring).
-            fr_models[dst].inject(self._ex_slot, self._ring_slots // 2, recs)
-
-        for (src_cell, dst_node), _ in pos_sent.items():
-            src_node = int(self._cell_node[src_cell])
-            if src_node == dst_node:
-                continue
-            key = (src_node, dst_node)
-            position_records[key] = position_records.get(key, 0) + int(
-                occupancy[src_cell]
-            )
-
-        return position_records, force_records, pr_models, fr_models
-
     # -- time integration (motion-update units) --------------------------------
 
+    def _force_pass(self, collect_traffic: bool) -> float:
+        return self.compute_forces(collect_traffic).potential_energy
+
+    def _count_migrations(self, before: np.ndarray) -> None:
+        # MU-ring workload: particles that changed home cell (Sec. 3.2).
+        from repro.core.migration import count_migrations
+
+        self.last_migrations = count_migrations(
+            self.grid, before, self.system.positions, self._cell_node
+        )
+
     def step(self, collect_traffic: bool = False) -> float:
-        """Advance one timestep; returns the new potential energy.
-
-        The motion-update unit integrates in float32; positions are held
-        as fixed-point cell offsets, re-quantized when the position
-        caches are rebuilt at the start of the next force phase.
-        """
-        if not self._primed:
-            self._last_potential = self.compute_forces(collect_traffic).potential_energy
-            self._primed = True
-        with self.timings.phase("integrate"):
-            dt = np.float32(self.config.dt_fs)
-            accel = self._accel32(self._forces32)
-            delta = (
-                self._velocities32 * dt + np.float32(0.5) * accel * dt * dt
-            ).astype(np.float64)
-            before = self.system.positions.copy()
-            self.system.positions += delta
-            self.system.wrap()
-            # MU-ring workload: particles that changed home cell (Sec. 3.2).
-            from repro.core.migration import count_migrations
-
-            self.last_migrations = count_migrations(
-                self.grid, before, self.system.positions, self._cell_node
-            )
-        stats = self.compute_forces(collect_traffic)
-        with self.timings.phase("integrate"):
-            accel_new = self._accel32(self._forces32)
-            self._velocities32 += np.float32(0.5) * (accel + accel_new) * dt
-            # Keep the public system state consistent with the VC/FC
-            # caches so analysis code sees the machine's actual
-            # trajectory.
-            self.system.velocities[:] = self._velocities32
-            self.system.forces[:] = self._forces32
-        self._last_potential = stats.potential_energy
-        return self._last_potential
+        """Advance one timestep; returns the new potential energy."""
+        return self._verlet_step(collect_traffic)
 
     def run(
         self, n_steps: int, record_every: int = 1, collect_traffic: bool = False
     ) -> List[EnergyRecord]:
         """Run ``n_steps`` timesteps, recording energies like the reference
         engine so the two histories compare directly (Fig. 19)."""
-        if n_steps < 0:
-            raise ValidationError("n_steps must be >= 0")
-        appended: List[EnergyRecord] = []
-        if not self._primed:
-            self._last_potential = self.compute_forces(collect_traffic).potential_energy
-            self._primed = True
-            rec = EnergyRecord(0, self.kinetic_energy(), self._last_potential)
-            self.history.append(rec)
-            appended.append(rec)
-        start = self.history[-1].step if self.history else 0
-        for i in range(1, n_steps + 1):
-            self.step(collect_traffic)
-            if record_every and i % record_every == 0:
-                rec = EnergyRecord(
-                    start + i, self.kinetic_energy(), self._last_potential
-                )
-                self.history.append(rec)
-                appended.append(rec)
-        return appended
+        return self._verlet_run(n_steps, record_every, collect_traffic)
 
     def measure_workload(self) -> StepStats:
         """One force pass with traffic collection, without advancing time.

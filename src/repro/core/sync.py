@@ -24,7 +24,6 @@ by a callable so straggler injection is trivial.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -288,7 +287,6 @@ def run_chained_sync(
     link_latency: float = 200.0,
     mu_cycles: float = 100.0,
     position_tail_fraction: float = 0.05,
-    drop_message_fn: Optional[Callable[[Message], bool]] = None,
     injector: Optional[FaultInjector] = None,
     transport: Optional[TransportConfig] = None,
 ) -> SyncResult:
@@ -308,10 +306,6 @@ def run_chained_sync(
     position_tail_fraction:
         Fraction of the force phase needed to finish processing a
         neighbor's stream after its last position arrives.
-    drop_message_fn:
-        Deprecated — wrapped into a
-        :class:`~repro.faults.PredicateInjector`; pass ``injector``
-        instead.
     injector:
         Fault injection for the fabric (drop / duplicate / delay /
         corrupt) and node stall faults.  Without a ``transport`` the
@@ -328,19 +322,6 @@ def run_chained_sync(
     """
     if n_iterations < 1:
         raise ConfigError("n_iterations must be >= 1")
-    if drop_message_fn is not None:
-        if injector is not None:
-            raise ConfigError(
-                "pass either injector or the deprecated drop_message_fn, not both"
-            )
-        warnings.warn(
-            "drop_message_fn is deprecated; pass injector="
-            "repro.faults.PredicateInjector(fn) (or a FaultPlan-driven "
-            "FaultInjector) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        injector = PredicateInjector(drop_message_fn)
     effective_work = work_fn
     if injector is not None and injector.plan.has_stall_faults:
         def effective_work(node: int, iteration: int) -> float:

@@ -266,11 +266,11 @@ class FaultInjector:
 
 
 class PredicateInjector(FaultInjector):
-    """Adapter for the legacy ``drop_message_fn`` hook of the sync layer.
+    """Drop the messages a ``Message -> bool`` predicate selects.
 
-    Wraps a ``Message -> bool`` predicate: messages for which it returns
-    True are dropped, nothing else is injected.  Exists so the old
-    keyword keeps working as a deprecated shim.
+    Messages for which the predicate returns True are dropped; nothing
+    else is injected.  Scripted single-message faults in the sync layer
+    and its tests use it.
     """
 
     _DROP = FaultDecision(drop=True)

@@ -768,8 +768,8 @@ def build_default_campaign(
     Force-backend points: the six rate points above always run on the
     reference ``"numpy"`` backend (so the committed baseline stays
     comparable across hosts), and one extra engine/machine reuse pair is
-    added per *available* backend beyond it (``soa`` always; ``numba``/
-    ``cext`` when importable/buildable).  The extra labels are one-sided
+    added per *available* backend beyond it (``soa`` always; ``cext``
+    when buildable).  The extra labels are one-sided
     additions, which :func:`check_regression` ignores against baselines
     that predate them.
     """

@@ -49,7 +49,7 @@ from repro.md.backends import (
     traffic_flat_numpy,
 )
 from repro.md.dataset import build_dataset
-from repro.oracles import exchange_positions_loop
+from repro.oracles import exchange_positions_loop, machine_pass_chunked
 
 #: ~10k-particle box (the acceptance size) and the 2k smoke box.
 DEFAULT_DIMS: Tuple[int, int, int] = (5, 5, 6)
@@ -150,7 +150,7 @@ def _stats_signature(stats) -> dict:
 
 def best_backend() -> str:
     """The fastest available force backend (compiled first)."""
-    for name in ("cext", "numba", "soa"):
+    for name in ("cext", "soa"):
         if resolve_backend(name).name == name:
             return name
     return "numpy"
@@ -241,24 +241,20 @@ def profile_machine(
     fpga_grid = _fpga_grid_for(dims)
 
     mach = FasdaMachine(MachineConfig(dims, fpga_grid))
-    mach.pair_path, mach.traffic_impl = "auto", "vectorized"
     mach.force_impl, mach.reuse_state = impl, True
-    # Two oracles, two invariants: the chunked/loop oracle certifies
-    # the full StepStats (admissions, traffic records, ring loads);
-    # accumulation *order* differs there by design, so the float32
-    # force bank — which certifies the fused admission/ROM-eval/scatter
-    # kernels — is asserted against the vectorized numpy sequence.
-    oracle = FasdaMachine(MachineConfig(dims, fpga_grid))
-    oracle.pair_path, oracle.traffic_impl = "chunked", "loop"
-    oracle.force_impl, oracle.reuse_state = "numpy", False
+    # Two oracles, two invariants: the chunked/loop oracle
+    # (repro.oracles.machine_pass_chunked) certifies the full StepStats
+    # (admissions, traffic records, ring loads); accumulation *order*
+    # differs there by design, so the float32 force bank — which
+    # certifies the fused admission/ROM-eval/scatter kernels — is
+    # asserted against the numpy kernel sequence on a fresh band.
     ref = FasdaMachine(MachineConfig(dims, fpga_grid))
-    ref.pair_path, ref.traffic_impl = "auto", "vectorized"
     ref.force_impl, ref.reuse_state = "numpy", False
 
     mach.compute_forces()  # warm: plan/table caches + band artifacts
     mach.compute_forces()
     s_opt = mach.compute_forces(collect_traffic=True)
-    s_loop = oracle.compute_forces(collect_traffic=True)
+    s_loop, _ = machine_pass_chunked(ref)
     ref.compute_forces(collect_traffic=True)
     assert _stats_signature(s_opt) == _stats_signature(s_loop), (
         "optimized StepStats diverged from the chunked/loop oracle"
@@ -270,9 +266,7 @@ def profile_machine(
     t_opt = _median_time(
         lambda: mach.compute_forces(collect_traffic=True), reps
     )
-    t_loop = _median_time(
-        lambda: oracle.compute_forces(collect_traffic=True), max(1, reps // 2)
-    )
+    t_loop = _median_time(lambda: machine_pass_chunked(ref), max(1, reps // 2))
 
     # Phase table over full step() calls (integrate included) with the
     # lightweight counters on; overhead is a perf_counter pair per
@@ -445,7 +439,7 @@ def format_profile(doc: Dict[str, object]) -> str:
         f"({m['machine_step_per_s']:.1f}/s), loop oracle "
         f"{m['machine_step_loop_s'] * 1e3:.1f} ms "
         f"-> {m['speedup_vs_loop']:.2f}x, bitwise ok",
-        "  phase breakdown (per step, ring within traffic):",
+        "  phase breakdown (per step, traffic excludes ring):",
     ]
     lines += _phase_lines(m, MACHINE_PHASES)
     lines.append(
@@ -461,11 +455,16 @@ def format_profile(doc: Dict[str, object]) -> str:
 
 
 def _phase_lines(doc: Dict[str, object], phases: Tuple[str, ...]) -> List[str]:
-    """One ``name  ms  % of step wall`` line per phase."""
+    """One ``name  ms  % of step wall`` line per phase, each exclusive
+    (``traffic`` without its nested ``ring``), so the rows sum to the
+    step wall."""
     wall = doc["phase_step_wall_s"]
+    per = doc["phases_s"]
     lines = []
     for name in phases:
-        sec = doc["phases_s"].get(name, 0.0)
+        sec = per.get(name, 0.0)
+        if name == "traffic":
+            sec -= per.get("ring", 0.0)
         pct = 100.0 * sec / wall if wall > 0 else 0.0
         lines.append(f"    {name:<10s} {sec * 1e3:8.2f} ms  {pct:5.1f}%")
     return lines

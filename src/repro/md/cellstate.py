@@ -100,6 +100,14 @@ class BandPairs:
         return int(self.segs[-1])
 
 
+#: Element budget of one padded candidate block: the band search walks
+#: home cells in blocks of at most ``_PADDED_MAX_ELEMS // cap^2`` cells,
+#: so its ``(cells, cap, cap)`` scratch and decode tables stay bounded
+#: (80 MB of float32 per array at the budget) however large or skewed
+#: the box.  Dense boxes of up to ~4.9k cells at cap 64 are one block.
+_PADDED_MAX_ELEMS = 20_000_000
+
+
 def band_slot_pairs(
     plan: CellPairPlan,
     start: np.ndarray,
@@ -120,22 +128,24 @@ def band_slot_pairs(
     corresponding per-offset displacement (cell units or angstrom);
     ``band`` the widened squared-distance bound *including* the
     conservative float32 margin.  ``homes`` (ascending cell ids,
-    default every cell) restricts the search to those cells' plan rows
-    — a distributed node's home cells; their neighbor cells are read
-    from the same bucket layout.  ``cap`` (default: the largest
-    occupancy) pads every bucket; callers searching several layouts
-    pass one common value so the plan's decode tables stay cached.
-    The returned lists enumerate, per offset, every flat (cell,
-    slot_i, slot_j) whose float32 banded ``r2`` passes — a superset of
-    anything the fresh path can admit while no particle has moved more
-    than skin/2.
+    default every occupied cell) restricts the search to those cells'
+    plan rows — a distributed node's home cells; their neighbor cells
+    are read from the same bucket layout.  ``cap`` (default: the
+    largest occupancy) pads every bucket; callers searching several
+    layouts pass one common value so the plan's decode tables stay
+    cached.  Home cells are searched in blocks of at most
+    :data:`_PADDED_MAX_ELEMS` ``// cap^2`` cells and each offset's
+    survivors are concatenated in block order, so the lists are
+    bitwise those of one unblocked search.  The returned lists
+    enumerate, per offset, every flat (cell, slot_i, slot_j) whose
+    float32 banded ``r2`` passes — a superset of anything the fresh
+    path can admit while no particle has moved more than skin/2.
     """
     C = plan.n_cells
     if cap is None:
         cap = int(counts.max()) if counts.size else 0
-    whole = homes is None
-    if whole:
-        homes = np.arange(C, dtype=np.int64)
+    if homes is None:
+        homes = np.flatnonzero(counts)
     n = len(packed_s)
     slot_cid = np.repeat(np.arange(C, dtype=np.int64), counts)
     within = np.arange(n, dtype=np.int64) - start[slot_cid]
@@ -147,49 +157,52 @@ def band_slot_pairs(
 
     nbr_mat = plan.nbr.reshape(C, ROWS_PER_CELL)
     band32 = np.float32(band)
-    nh = len(homes)
-    span = nh * cap * cap
-    cell_of, i_of, j_of = plan.padded_decode(cap)
-    cell_of, i_of, j_of = cell_of[:span], i_of[:span], j_of[:span]
-    Ph = P[homes]
-    Sh = (S[homes] - band32) * np.float32(0.5)
-    a_of = start[homes][cell_of] + i_of
+    blk = min(C, max(1, _PADDED_MAX_ELEMS // max(cap * cap, 1)))
+    cell_of, i_of, j_of = plan.padded_decode(cap, blk)
     iu = np.arange(cap)
     tri = iu[:, None] < iu[None, :]
-    mask = np.empty((nh, cap, cap), dtype=bool)
-    G = np.empty((nh, cap, cap), dtype=np.float32)
-    H = np.empty((nh, cap, cap), dtype=np.float32)
+    mask = np.empty((blk, cap, cap), dtype=bool)
+    G = np.empty((blk, cap, cap), dtype=np.float32)
+    H = np.empty((blk, cap, cap), dtype=np.float32)
 
-    aa: List[np.ndarray] = []
-    bb: List[np.ndarray] = []
-    cc: List[np.ndarray] = []
-    jj: List[np.ndarray] = []
+    # Per offset, the (a, b, c, js) survivors of every block in order.
+    found: List[List[Tuple[np.ndarray, ...]]] = [
+        [] for _ in range(ROWS_PER_CELL)
+    ]
+    for lo in range(0, len(homes), blk):
+        hb = homes[lo:lo + blk]
+        nh = len(hb)
+        span = nh * cap * cap
+        cell_b, j_b = cell_of[:span], j_of[:span]
+        Ph = P[hb]
+        Sh = (S[hb] - band32) * np.float32(0.5)
+        a_of = start[hb][cell_b] + i_of[:span]
+        Gb, Hb, mb = G[:nh], H[:nh], mask[:nh]
+        # Block-local cell index -> cell id is the identity for a block
+        # holding cells 0..nh-1 (a dense whole-box search): skip the gather.
+        ident = hb[0] == 0 and hb[-1] == nh - 1
+        for k in range(ROWS_PER_CELL):
+            nb = nbr_mat[hb, k]
+            Q = P[nb] + offsets[k].astype(np.float32)
+            Sq = np.einsum("cix,cix->ci", Q, Q, dtype=np.float32)
+            Sq[padm[nb]] = np.inf
+            np.matmul(Ph, Q.transpose(0, 2, 1), out=Gb)
+            np.add(Sh[:, :, None], (Sq * np.float32(0.5))[:, None, :], out=Hb)
+            np.greater(Gb, Hb, out=mb)
+            if k == 0:
+                mb &= tri
+            flat = np.flatnonzero(mb.reshape(-1))
+            cl = cell_b[flat].astype(np.int64)
+            js = j_b[flat].astype(np.int64)
+            found[k].append(
+                (a_of[flat], start[nb][cl] + js, cl if ident else hb[cl], js)
+            )
     segs = np.zeros(ROWS_PER_CELL + 1, dtype=np.int64)
-    for k in range(ROWS_PER_CELL):
-        nb = nbr_mat[homes, k]
-        Q = P[nb] + offsets[k].astype(np.float32)
-        Sq = np.einsum("cix,cix->ci", Q, Q, dtype=np.float32)
-        Sq[padm[nb]] = np.inf
-        np.matmul(Ph, Q.transpose(0, 2, 1), out=G)
-        np.add(Sh[:, :, None], (Sq * np.float32(0.5))[:, None, :], out=H)
-        np.greater(G, H, out=mask)
-        if k == 0:
-            mask &= tri
-        flat = np.flatnonzero(mask.reshape(-1))
-        cl = cell_of[flat].astype(np.int64)
-        js = j_of[flat].astype(np.int64)
-        aa.append(a_of[flat])
-        bb.append(start[nb][cl] + js)
-        cc.append(cl if whole else homes[cl])
-        jj.append(js)
-        segs[k + 1] = segs[k] + len(flat)
-    return BandPairs(
-        np.concatenate(aa),
-        np.concatenate(bb),
-        np.concatenate(cc),
-        np.concatenate(jj),
-        segs,
-    )
+    segs[1:] = np.cumsum([sum(len(f[0]) for f in per_k) for per_k in found])
+    parts = [f for per_k in found for f in per_k]
+    if not parts:
+        parts = [(np.empty(0, dtype=np.int64),) * 4]
+    return BandPairs(*(np.concatenate(col) for col in zip(*parts)), segs)
 
 
 class CellState:

@@ -124,32 +124,34 @@ class CellPairPlan:
         self.has_shift = np.any(self.shift != 0.0, axis=1)
         # One-entry decode-table cache (see :meth:`padded_decode`): the
         # bucket cap changes rarely between steps of one box.
-        self._decode_cap = -1
+        self._decode_key: Tuple[int, int] = (-1, -1)
         self._decode_tables: Optional[Tuple[np.ndarray, ...]] = None
 
     def padded_decode(
-        self, cap: int
+        self, cap: int, n_cells: Optional[int] = None
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cached flat-index -> (cell, home slot, neighbor slot) decode tables.
 
-        A flat survivor index into the padded ``(C, cap, cap)`` candidate
-        mask decodes as ``cell = f // cap^2``, ``i = (f // cap) % cap``,
-        ``j = f % cap``; precomputing the tables turns three per-survivor
-        integer divisions per offset into three cheap int32 gathers.
-        Hoisted onto the plan (historically each consumer re-derived it
-        per call) so the numpy padded paths, the band-list builder and
-        the compiled backends all share one copy per geometry.
+        A flat survivor index into a padded ``(n_cells, cap, cap)``
+        candidate mask decodes as ``cell = f // cap^2``, ``i = (f //
+        cap) % cap``, ``j = f % cap``; precomputing the tables turns
+        three per-survivor integer divisions per offset into three cheap
+        int32 gathers.  ``n_cells`` (default: the whole grid) sizes the
+        tables to one search block.  Hoisted onto the plan so the numpy
+        padded paths, the band-list builder and the compiled backends
+        all share one copy per geometry.
         """
         cap = int(cap)
-        if cap != self._decode_cap:
+        n_cells = self.n_cells if n_cells is None else int(n_cells)
+        if (cap, n_cells) != self._decode_key:
             cap2 = cap * cap
-            f = np.arange(self.n_cells * cap2, dtype=np.int64)
+            f = np.arange(n_cells * cap2, dtype=np.int64)
             self._decode_tables = (
                 (f // cap2).astype(np.int32),
                 ((f // cap) % cap).astype(np.int32),
                 (f % cap).astype(np.int32),
             )
-            self._decode_cap = cap
+            self._decode_key = (cap, n_cells)
         return self._decode_tables
 
     @property

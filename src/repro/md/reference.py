@@ -21,16 +21,18 @@ potential so V(R_c) = 0 for energy bookkeeping.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from repro.md.cellstate import CellState
-
 from repro.md.backends import ForceBackend, resolve_backend
 from repro.md.cells import CellGrid, CellList, HALF_SHELL_OFFSETS
+from repro.md.cellstate import (
+    _PADDED_MAX_ELEMS,
+    CellState,
+    band_slot_pairs,
+    engine_pack_fn,
+)
 from repro.md.kernels import lj_scalar_energy, pair_forces_energy, scatter_add
 from repro.md.params import LJTable
 from repro.md.pairplan import (
@@ -90,30 +92,12 @@ def compute_forces_bruteforce(
     return forces, energy
 
 
-#: Padded-broadcast fast-path limits: per-offset scratch is ``C * cap^2``
-#: float32 elements (80 MB at the element cap), and padding waste — padded
-#: candidate volume over true half-shell candidates — must stay bounded
-#: or sparse/skewed occupancies would burn bandwidth on sentinel slots.
-_PADDED_MAX_ELEMS = 20_000_000
+#: Padded-broadcast fast-path limit: padding waste — padded candidate
+#: volume over true half-shell candidates — must stay bounded or
+#: sparse/skewed occupancies would burn bandwidth on sentinel slots (the
+#: per-offset scratch bound is the band search's block budget,
+#: :data:`~repro.md.cellstate._PADDED_MAX_ELEMS`).
 _PADDED_MAX_WASTE = 8.0
-
-
-@lru_cache(maxsize=2)
-def _decode_tables(n_cells: int, cap: int):
-    """Cached flat-index -> (cell, home slot, neighbor slot) decode tables.
-
-    A flat survivor index into the ``(C, cap, cap)`` mask decodes as
-    ``cell = f // cap^2``, ``i = (f // cap) % cap``, ``j = f % cap``;
-    precomputing the tables turns three per-survivor integer divisions
-    per offset into three cheap int32 gathers.  Keyed on ``(C, cap)``
-    only, so consecutive steps of the same box reuse them.
-    """
-    cap2 = cap * cap
-    f = np.arange(n_cells * cap2, dtype=np.int64)
-    cell_of = (f // cap2).astype(np.int32)
-    i_of = ((f // cap) % cap).astype(np.int32)
-    j_of = (f % cap).astype(np.int32)
-    return cell_of, i_of, j_of
 
 
 def _padded_viable(plan: CellPairPlan, clist: CellList) -> bool:
@@ -440,34 +424,31 @@ class _FlatArtifacts:
 
 def _forces_cells_flat(
     pos: np.ndarray,
-    spc: np.ndarray,
     lj: LJTable,
-    plan: CellPairPlan,
     clist: CellList,
     cutoff2: float,
     shift_e: float,
-    state: "CellState",
+    art: _FlatArtifacts,
     backend: ForceBackend,
 ) -> Tuple[np.ndarray, float]:
     """Band-list evaluation through a backend's fused flat kernel.
 
-    The compiled/SoA analogue of :func:`_forces_cells_reuse`: same band
-    lists, same exact float64 ``r2 < cutoff2`` admission, but one fused
-    filter + LJ + scatter pass over the flat pair stream instead of 14
-    per-offset numpy passes.  Admitted pairs are identical to the
-    reference; forces and energy agree to the documented round-off
-    bound (:data:`~repro.md.backends.FORCE_ATOL` /
+    The compiled/SoA analogue of :func:`_forces_cells_reuse`, over the
+    flat lowering ``art`` of a persistent skin-banded list or of a fresh
+    skinless band search: same exact float64 ``r2 < cutoff2`` admission,
+    but one fused filter + LJ + scatter pass over the flat pair stream
+    instead of 14 per-offset numpy passes.  Admitted pairs are identical
+    to the reference; forces and energy agree to the documented
+    round-off bound (:data:`~repro.md.backends.FORCE_ATOL` /
     :data:`~repro.md.backends.ENERGY_RTOL`) because the accumulation
-    order differs.
+    order differs.  Either band lists the admitted pairs in the same
+    order, and the kernel accumulates admitted pairs only, so reuse and
+    fresh passes are bitwise equal.
     """
     order = clist.order
     n = len(pos)
     ps = pos[order]
     psx, psy, psz = ps[:, 0].copy(), ps[:, 1].copy(), ps[:, 2].copy()
-    art = state.artifacts.get("flat")
-    if art is None:
-        art = _FlatArtifacts(state.pairs, plan, spc, order)
-        state.artifacts["flat"] = art
     fx = np.zeros(n)
     fy = np.zeros(n)
     fz = np.zeros(n)
@@ -494,10 +475,11 @@ def _forces_cells_flat_chunks(
 ) -> Tuple[np.ndarray, float]:
     """Stateless chunked evaluation through a backend's flat kernel.
 
-    Fresh-binning fallback for non-reference backends: the chunked
-    enumerator produces candidate ``(ii, jj)`` particle indices and the
-    fused kernel replaces the gather + einsum + LJ + scatter numpy
-    passes.  Same exact admission; same documented round-off bound as
+    Fresh-binning fallback for non-reference backends on boxes the
+    padded band search does not suit: the chunked enumerator produces
+    candidate ``(ii, jj)`` particle indices and the fused kernel
+    replaces the gather + einsum + LJ + scatter numpy passes.  Same
+    exact admission; same documented round-off bound as
     :func:`_forces_cells_flat`.
     """
     n = len(pos)
@@ -556,9 +538,12 @@ def compute_forces_cells(
     ``force_impl`` selects the force backend (see
     :mod:`repro.md.backends`): ``None`` uses the process-wide default
     (``"numpy"`` unless overridden), ``"numpy"`` forces the reference
-    paths above, and ``"soa"``/``"numba"``/``"cext"`` route the same
-    admission through a fused flat kernel — identical admitted pairs,
-    forces/energy within the documented round-off bound.
+    paths above, and ``"soa"``/``"cext"`` route the same admission
+    through a fused flat kernel — identical admitted pairs,
+    forces/energy within the documented round-off bound.  On dense
+    boxes the fused kernel walks the band lists of a fresh skinless
+    band search (sparse boxes: the chunked enumerator), so its reuse
+    and fresh passes are bitwise equal too.
     """
     if not np.allclose(grid.box, system.box):
         raise ValidationError(
@@ -582,9 +567,14 @@ def compute_forces_cells(
                 state.artifacts["usable"] = _padded_viable(plan, state.clist)
             if state.artifacts["usable"]:
                 if backend.lj_flat is not None:
+                    art = state.artifacts.get("flat")
+                    if art is None:
+                        art = _FlatArtifacts(
+                            state.pairs, plan, spc, state.clist.order
+                        )
+                        state.artifacts["flat"] = art
                     return _forces_cells_flat(
-                        pos, spc, lj, plan, state.clist, cutoff2,
-                        shift_e, state, backend,
+                        pos, lj, state.clist, cutoff2, shift_e, art, backend
                     )
                 return _forces_cells_reuse(
                     pos, spc, lj, plan, state.clist, cutoff2, shift_e, state
@@ -594,12 +584,30 @@ def compute_forces_cells(
     energy = 0.0
     clist = CellList(grid, pos)
 
+    viable = _padded_viable(plan, clist)
     if backend.lj_flat is not None:
+        if viable:
+            try:
+                packed, offs, band = engine_pack_fn(grid, plan, 0.0)(pos)
+            except FloatingPointError:
+                pass  # non-box-local positions: chunked path below
+            else:
+                # A skinless band search: the same pair order as the
+                # reuse path's skin-banded lists, so the fused kernel
+                # accumulates bitwise as it does there.
+                pairs = band_slot_pairs(
+                    plan, clist.start, clist.counts, packed[clist.order],
+                    offs, band,
+                )
+                return _forces_cells_flat(
+                    pos, lj, clist, cutoff2, shift_e,
+                    _FlatArtifacts(pairs, plan, spc, clist.order), backend,
+                )
         return _forces_cells_flat_chunks(
             pos, spc, lj, plan, clist, cutoff2, shift_e, backend
         )
 
-    if _padded_viable(plan, clist):
+    if viable:
         try:
             return _forces_cells_padded(
                 pos, spc, lj, plan, clist, cutoff2, shift_e

@@ -12,8 +12,168 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.core.cellids import gcid_to_lcid
+from repro.core.datapath import quantize_cell_fractions
 from repro.core.packets import P2REncapsulatorChain, Packet, Record
+from repro.md.cells import CellList
+from repro.md.kernels import scatter_add
+from repro.md.pairplan import candidates_per_cell, iter_pair_chunks
 from repro.util.errors import ConfigError, ValidationError
+
+
+def machine_pass_chunked(machine, collect_traffic: bool = True):
+    """One :meth:`~repro.core.machine.FasdaMachine.compute_forces` pass,
+    restated with the chunked enumerator and the per-row traffic walk.
+
+    Fresh binning of the machine's current positions; every candidate
+    pair of the shared pair plan goes through the real
+    :class:`~repro.core.datapath.PairFilter` and the
+    :class:`~repro.core.datapath.ForcePipeline` (plus the Ewald pipeline
+    behind the same filter) in step-wide chunks, forces scatter into
+    particle-indexed home/neighbor banks, and the traffic records and
+    ring loads come from one Python walk over the active plan rows.
+    Returns ``(StepStats, forces)`` and leaves the machine untouched.
+
+    Every admitted pair, every integer statistic, traffic record and
+    ring load matches the machine bitwise; forces and the potential
+    differ only in float32 accumulation order.
+    """
+    from repro.core.machine import RingLoadSummary, StepStats
+
+    cfg = machine.config
+    plan = machine._plan
+    pos = machine.system.positions
+    n = machine.system.n
+    clist = CellList(machine.grid, pos)
+    frac = quantize_cell_fractions(
+        pos, machine.grid.coords_of_positions(pos), cfg.cutoff, machine.fmt
+    )
+    home_bank = np.zeros((n, 3), dtype=np.float32)
+    nbr_bank = np.zeros((n, 3), dtype=np.float32)
+    accepted = np.zeros(plan.n_cells, dtype=np.int64)
+    uniq_per_row = np.zeros(plan.n_rows, dtype=np.int64)
+    potential = np.float32(0.0)
+    spc = machine.system.species
+    n64 = np.int64(n)
+    for chunk in iter_pair_chunks(plan, clist.counts, clist.start, clist.order):
+        # Displacement home - neighbor = frac_h - offset - frac_n
+        # (offset zero on home-home rows), exact in float64 for
+        # quantized fractions.
+        dr = frac[chunk.ii] - frac[chunk.jj] - plan.offset[chunk.row]
+        res = machine.filter.check(dr)
+        if not res.n_accepted:
+            continue
+        m = res.mask
+        ii = chunk.ii[m]
+        jj = chunk.jj[m]
+        row = chunk.row[m]
+        scatter_add(accepted, plan.home[row])
+        f, e = machine.pipeline.compute(dr[m], res.r2, spc[ii], spc[jj])
+        if machine.coulomb_pipeline is not None:
+            qq = machine._charges32[ii] * machine._charges32[jj]
+            fc, ec = machine.coulomb_pipeline.compute(dr[m], res.r2, qq)
+            f = f + fc
+            e = e + ec
+        sel = plan.is_self[row]
+        scatter_add(home_bank, ii, f)
+        if sel.any():
+            scatter_add(home_bank, jj[sel], -f[sel])
+        nsel = ~sel
+        if nsel.any():
+            scatter_add(nbr_bank, jj[nsel], -f[nsel])
+            # Unique (row, neighbor particle) keys; chunks carry whole
+            # rows, so per-chunk uniqueness is per-block exact.
+            keys = np.unique(row[nsel] * n64 + jj[nsel])
+            scatter_add(uniq_per_row, keys // n64)
+        potential += e.sum(dtype=np.float32)
+
+    nbr_frc_records = np.zeros(plan.n_cells, dtype=np.int64)
+    scatter_add(nbr_frc_records, plan.home, uniq_per_row)
+    occupancy = clist.occupancies()
+    if collect_traffic:
+        position_records, force_records, pr_models, fr_models = (
+            _traffic_loop(machine, clist.counts, occupancy, uniq_per_row)
+        )
+    else:
+        position_records, force_records = {}, {}
+        pr_models, fr_models = machine._traffic_models()
+    stats = StepStats(
+        candidates_per_cell=candidates_per_cell(plan, clist.counts),
+        accepted_per_cell=accepted,
+        occupancy_per_cell=occupancy.copy(),
+        potential_energy=float(potential),
+        position_records=position_records,
+        force_records=force_records,
+        pr_load={k: RingLoadSummary.from_model(v) for k, v in pr_models.items()},
+        fr_load={k: RingLoadSummary.from_model(v) for k, v in fr_models.items()},
+        neighbor_force_records_per_cell=nbr_frc_records,
+    )
+    return stats, home_bank + nbr_bank
+
+
+def _traffic_loop(machine, counts, occupancy, uniq_per_row):
+    """The per-row traffic walk of :func:`machine_pass_chunked`: returns
+    ``(position_records, force_records, pr_models, fr_models)``."""
+    position_records: Dict[Tuple[int, int], int] = {}
+    force_records: Dict[Tuple[int, int], int] = {}
+    pr_models, fr_models = machine._traffic_models()
+    plan = machine._plan
+    cell_node = machine._cell_node
+    ring_slot = machine._cell_ring_slot
+    ex_slot = machine._ex_slot
+    # (source cell, dest node) pairs that carried at least one position.
+    pos_sent: Dict[Tuple[int, int], bool] = {}
+    # Position-ring destinations per (node, source slot) for broadcasts.
+    pr_dests: Dict[Tuple[int, int], List[int]] = {}
+    pr_counts: Dict[Tuple[int, int], int] = {}
+    for r in machine._position_rows(counts):
+        # Position stream: source cell -> home node (dedup per node).
+        home_node = int(cell_node[plan.home[r]])
+        pos_sent[(int(plan.nbr[r]), home_node)] = True
+    for r in machine._active_neighbor_rows(counts):
+        cid = int(plan.home[r])
+        ncid = int(plan.nbr[r])
+        home_node = int(cell_node[cid])
+        home_slot = int(ring_slot[cid])
+        src_node = int(cell_node[ncid])
+        # Ring broadcast bookkeeping.
+        key = (
+            home_node,
+            int(ring_slot[ncid])
+            if src_node == home_node
+            else ex_slot + 10_000 + ncid,
+        )
+        pr_dests.setdefault(key, []).append(home_slot)
+        pr_counts[key] = int(counts[ncid])
+        uniq = int(uniq_per_row[r])
+        if uniq:
+            if src_node != home_node:
+                key2 = (home_node, src_node)
+                force_records[key2] = force_records.get(key2, 0) + uniq
+            # Force-ring injection: evaluating CBB -> home CBB (or EX
+            # when remote).
+            dst_slot = int(ring_slot[ncid]) if src_node == home_node else ex_slot
+            fr_models[home_node].inject(home_slot, dst_slot, uniq)
+
+    # Replay position broadcasts: one ring traversal per source stream,
+    # visiting all destination CBBs (Sec. 4.5 semantics).
+    for (node, src_key), dests in pr_dests.items():
+        src_slot = src_key if src_key < machine._ring_slots else ex_slot
+        pr_models[node].broadcast(src_slot, dests, pr_counts[(node, src_key)])
+    # Remote arriving forces also ride the destination node's FR from EX
+    # to the home CBB; home cells unknown at this granularity — charge
+    # the mean path (EX to mid-ring).
+    for (src, dst), recs in force_records.items():
+        fr_models[dst].inject(ex_slot, machine._ring_slots // 2, recs)
+
+    for (src_cell, dst_node), _ in pos_sent.items():
+        src_node = int(cell_node[src_cell])
+        if src_node == dst_node:
+            continue
+        key = (src_node, dst_node)
+        position_records[key] = position_records.get(key, 0) + int(
+            occupancy[src_cell]
+        )
+    return position_records, force_records, pr_models, fr_models
 
 
 def exchange_positions_loop(machine, nodes: Dict[int, object]) -> None:

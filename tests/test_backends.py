@@ -2,9 +2,9 @@
 
 The contract under test, per layer:
 
-* registry — numpy/soa always available; unknown names raise; an
-  unavailable *optional* backend (numba not installed, no compiler)
-  resolves to numpy instead of failing; ``REPRO_FORCE_IMPL`` selects
+* registry — numpy/soa always available; unknown names (the removed
+  ``numba`` among them) raise; an unavailable *optional* backend (no
+  cffi or compiler) resolves to numpy instead of failing; ``REPRO_FORCE_IMPL`` selects
   the process default and ignores unknown names.
 * engine — every available backend reproduces the per-cell float64
   loop oracle and the O(N^2) brute-force golden model within the
@@ -12,11 +12,13 @@ The contract under test, per layer:
   and the state-reuse paths, at small/medium/paper-density sizes.
 * machine — admissions run through the exact float64 recheck on every
   backend, so ``StepStats`` and the float32 force banks are **bitwise
-  identical** across backends (padded and chunked paths, reuse on and
-  off); same for :class:`DistributedMachine` per node.
+  identical** across backends (reuse on and off, and equal to the
+  chunked oracle's statistics); same for :class:`DistributedMachine`
+  per node.
 * persistence — checkpoint v2 round-trips the ``force_impl`` knob for
-  engine, machine and distributed payloads, and pre-knob checkpoints
-  (no ``force_impl`` key) still restore.
+  engine, machine and distributed payloads, pre-knob checkpoints (no
+  ``force_impl`` key) still restore, and checkpoints naming the removed
+  ``numba`` backend load on ``numpy`` with a warning.
 * campaign — the rate workers record which backend produced each
   number, and per-backend design points ride the default campaign.
 """
@@ -51,6 +53,7 @@ from repro.md.reference import (
     compute_forces_cells,
     compute_forces_cells_loop,
 )
+from repro.oracles import machine_pass_chunked
 from repro.util.errors import ValidationError
 
 BACKENDS = available_backends()
@@ -75,9 +78,9 @@ class TestRegistry:
         assert "soa" in BACKENDS
         assert resolve_backend("numpy").is_reference
 
-    def test_all_four_backends_registered(self):
+    def test_all_three_backends_registered(self):
         # Registered regardless of availability — status says why.
-        assert set(backend_names()) >= {"numpy", "soa", "numba", "cext"}
+        assert set(backend_names()) == {"numpy", "soa", "cext"}
         status = backend_status()
         for name in backend_names():
             assert status[name] == "available" or status[name].startswith(
@@ -101,12 +104,18 @@ class TestRegistry:
         finally:
             del _REGISTRY[fake.name]
 
-    def test_numba_resolution_matches_probe(self):
-        resolved = resolve_backend("numba")
-        if "numba" in BACKENDS:
-            assert resolved.name == "numba"
-        else:
-            assert resolved.name == "numpy"  # gated, never an error
+    def test_removed_numba_name_raises(self):
+        with pytest.raises(ValidationError, match="unknown force backend"):
+            resolve_backend("numba")
+        with pytest.raises(ValidationError):
+            set_force_backend("numba")
+        machine = FasdaMachine(MachineConfig((3, 3, 3)), seed=1)
+        machine.force_impl = "numba"
+        with pytest.raises(ValidationError):
+            machine.compute_forces()
+        system, grid = build_dataset((3, 3, 3), particles_per_cell=2, seed=1)
+        with pytest.raises(ValidationError):
+            ReferenceEngine(system=system, grid=grid, force_impl="numba").run(1)
 
     def test_set_get_roundtrip(self):
         assert set_force_backend("soa") == "soa"
@@ -125,7 +134,7 @@ class TestRegistry:
         assert _apply_env_default() == "numpy"
 
     def test_compiled_backends_subset(self):
-        assert set(compiled_backends()) <= {"numba", "cext"}
+        assert set(compiled_backends()) <= {"cext"}
         assert set(compiled_backends()) <= set(BACKENDS)
 
 
@@ -236,25 +245,30 @@ def _stats_signature(stats):
 
 
 class TestMachineBitwise:
-    @pytest.mark.parametrize("pair_path", ["auto", "chunked"])
+    @pytest.mark.parametrize("reference", ["auto", "chunked"])
     @pytest.mark.parametrize("reuse", [False, True])
     def test_stats_and_forces_identical_across_backends(
-        self, pair_path, reuse
+        self, reference, reuse
     ):
+        """Every backend's StepStats equal the first backend's ("auto")
+        or the chunked oracle's ("chunked"); forces are bitwise equal
+        across backends."""
         ref_sig = ref_forces = None
         for name in BACKENDS:
             machine = FasdaMachine(MachineConfig((4, 4, 4)), seed=11)
-            machine.pair_path = pair_path
             machine.reuse_state = reuse
             machine.force_impl = name
             stats = machine.compute_forces(collect_traffic=True)
             stats = machine.compute_forces(collect_traffic=True)  # reuse hit
             sig = _stats_signature(stats)
             forces = machine.forces.copy()
+            if reference == "chunked":
+                oracle, _ = machine_pass_chunked(machine)
+                assert sig[:-1] == _stats_signature(oracle)[:-1], name
             if ref_sig is None:
                 ref_sig, ref_forces = sig, forces
             else:
-                assert sig == ref_sig, (name, pair_path, reuse)
+                assert sig == ref_sig, (name, reference, reuse)
                 np.testing.assert_array_equal(forces, ref_forces)
 
     def test_step_trajectory_bitwise(self):
@@ -338,6 +352,64 @@ class TestCheckpointKnob:
         m2, _ = _restore_machine(meta, arrays)
         assert m2.force_impl is None
 
+    @pytest.mark.parametrize(
+        "kind", ["machine", "engine", "distributed", "batch"]
+    )
+    def test_removed_numba_backend_loads_on_numpy(self, kind, tmp_path):
+        """A checkpoint written when ``numba`` was a backend restores on
+        ``numpy`` with a warning and keeps stepping."""
+        import json
+
+        from repro.core.checkpoint import _KIND_DISPATCH
+
+        if kind == "machine":
+            obj = FasdaMachine(MachineConfig((3, 3, 3)), seed=2)
+        elif kind == "distributed":
+            obj = DistributedMachine(
+                MachineConfig((4, 4, 4), (1, 1, 2)), seed=3
+            )
+        elif kind == "engine":
+            system, grid = build_dataset((3, 3, 3), particles_per_cell=4,
+                                         seed=1)
+            obj = ReferenceEngine(system=system, grid=grid)
+        else:
+            from repro.md.batch import BatchedEngine
+
+            obj = BatchedEngine()
+            system, grid = build_dataset((3, 3, 3), particles_per_cell=2,
+                                         seed=12)
+            obj.add(system, grid)
+
+        def advance(o):
+            return o.step(1) if kind == "batch" else o.run(1)
+
+        advance(obj)
+        build, restore = _KIND_DISPATCH[kind]
+        meta, arrays = build(obj)
+        meta = json.loads(json.dumps(meta))
+        meta["force_impl"] = "numba"
+        with pytest.warns(UserWarning, match="removed force backend 'numba'"):
+            restored, _ = restore(meta, arrays)
+        assert restored.force_impl == "numpy"
+        advance(restored)
+
+    def test_old_machine_knobs_ignored(self):
+        """Machine payloads from before the single force path carry
+        ``pair_path``/``traffic_impl``; they load and are not written."""
+        import json
+
+        from repro.core.checkpoint import _machine_payload, _restore_machine
+
+        m = FasdaMachine(MachineConfig((3, 3, 3)), seed=2)
+        m.step()
+        meta, arrays = _machine_payload(m)
+        assert "pair_path" not in meta and "traffic_impl" not in meta
+        meta = json.loads(json.dumps(meta))
+        meta.update(pair_path="chunked", traffic_impl="loop")
+        m2, _ = _restore_machine(meta, arrays)
+        assert not hasattr(m2, "pair_path")
+        assert m.step() == m2.step()
+
 
 # ---------------------------------------------------------------------------
 # Campaign integration
@@ -379,38 +451,3 @@ class TestCampaignBackends:
                 continue
             assert f"engine/reuse-{name}" in labels
             assert f"machine/reuse-{name}" in labels
-
-
-# ---------------------------------------------------------------------------
-# Kernel-level cross-checks (compiled vs soa, when compiled available)
-# ---------------------------------------------------------------------------
-
-
-class TestKernelContracts:
-    @pytest.mark.parametrize("name", compiled_backends() or ["soa"])
-    def test_screen_dr_bitwise_vs_numpy(self, name):
-        from repro.md.cells import CellList
-        from repro.md.pairplan import iter_pair_chunks, plan_for_grid
-
-        machine = FasdaMachine(MachineConfig((3, 3, 3)), seed=6)
-        pos = machine.system.positions
-        grid = machine.grid
-        from repro.core.datapath import quantize_cell_fractions
-
-        coords = grid.coords_of_positions(pos)
-        frac = quantize_cell_fractions(
-            pos, coords, machine.config.cutoff, machine.fmt
-        )
-        clist = CellList(grid, pos)
-        plan = plan_for_grid(grid)
-        b = resolve_backend(name)
-        ref = resolve_backend("soa")
-        for chunk in iter_pair_chunks(
-            plan, clist.counts, clist.start, clist.order
-        ):
-            dr_b, r2_b = b.screen_dr(frac, chunk.ii, chunk.jj,
-                                     plan.offset, chunk.row)
-            dr_r, r2_r = ref.screen_dr(frac, chunk.ii, chunk.jj,
-                                       plan.offset, chunk.row)
-            np.testing.assert_array_equal(dr_b, dr_r)
-            np.testing.assert_array_equal(r2_b, r2_r)

@@ -79,6 +79,57 @@ class TestMachineReuseBitwise:
         assert sb2.state_reused is True
 
 
+def _carved_box(keep):
+    """A (6, 6, 6) box of the 32-per-cell dataset, keeping
+    ``keep(cell coords)`` particles of each cell."""
+    from repro.md.system import ParticleSystem
+
+    dims = (6, 6, 6)
+    system, grid = build_dataset(dims, particles_per_cell=32, seed=8)
+    coords = grid.coords_of_positions(system.positions)
+    cids = grid.cell_id(coords)
+    order = np.argsort(cids, kind="stable")
+    rank = np.empty(len(cids), dtype=np.int64)
+    starts = np.concatenate([[0], np.cumsum(np.bincount(cids, minlength=216))])
+    rank[order] = np.arange(len(cids)) - starts[cids[order]]
+    mask = rank < np.array([keep(c) for c in coords])
+    return dims, ParticleSystem(
+        positions=system.positions[mask],
+        velocities=system.velocities[mask],
+        species=system.species[mask],
+        lj_table=system.lj_table,
+        box=system.box.copy(),
+    )
+
+
+class TestMachineReuseOnEveryOccupancy:
+    """The machine always runs the node kernel, so reuse on == off
+    holds on boxes the padded search suits poorly too."""
+
+    @pytest.mark.parametrize(
+        "keep",
+        [
+            # sparse: 2 per cell, one crowded cell at the lattice cap
+            lambda c: 32 if tuple(c) == (2, 2, 2) else 2,
+            # slab: two full cell layers, vacuum elsewhere
+            lambda c: 32 if c[0] < 2 else 0,
+        ],
+        ids=["sparse", "slab"],
+    )
+    def test_20_step_trajectory_bitwise(self, keep):
+        dims, system = _carved_box(keep)
+        fresh = FasdaMachine(MachineConfig(dims), system=system.copy())
+        reuse = FasdaMachine(MachineConfig(dims), system=system.copy())
+        reuse.reuse_state = True
+        for _ in range(20):
+            assert fresh.step(collect_traffic=True) == reuse.step(
+                collect_traffic=True
+            )
+        assert np.array_equal(fresh.system.positions, reuse.system.positions)
+        assert np.array_equal(fresh.forces, reuse.forces)
+        assert reuse.last_stats.state_builds < 20
+
+
 class TestEngineReuseBitwise:
     def test_50_step_trajectory_bitwise(self):
         system, grid = build_dataset((4, 4, 4), particles_per_cell=16, seed=7)

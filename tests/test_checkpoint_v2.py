@@ -53,12 +53,12 @@ class TestMachineRoundTrip:
     def test_knobs_and_cellstate_meta_restored(self, tmp_path):
         m = FasdaMachine(CFG)
         m.reuse_state = True
-        m.pair_path = "padded"
+        m.reuse_skin = 0.2 * m.config.cutoff
         m.run(4)
         builds_before = m._cell_state.builds
         path = save_checkpoint_v2(m, str(tmp_path / "m.npz"))
         m2, _ = load_checkpoint_v2(path)
-        assert m2.pair_path == "padded"
+        assert m2.reuse_skin == m.reuse_skin
         assert m2.reuse_state
         assert m2._cell_state.builds == builds_before
 

@@ -2,11 +2,12 @@
 
 Three oracles guard the batched hot paths:
 
-* traffic accounting — ``traffic_impl="vectorized"`` group-by passes vs
-  the retained ``"loop"`` per-row walk, across 1/2/4/8-node configs;
-* pair enumeration — ``pair_path="padded"`` broadcast matmuls vs the
-  ``"chunked"`` gather enumeration (bitwise-identical admissions and
-  integer workload statistics);
+* traffic accounting — the machine's group-by passes vs the per-row
+  walk of :func:`repro.oracles.machine_pass_chunked`, across
+  1/2/4/8-node configs;
+* pair enumeration — the node kernel over band lists vs the oracle's
+  chunked gather enumeration (bitwise-identical admissions and integer
+  workload statistics);
 * distributed exchange — array-packed ``RecordBatch`` flows vs the
   per-particle P2R chain walk (identical halos and packet counts).
 """
@@ -20,7 +21,7 @@ from repro.core.config import MachineConfig
 from repro.core.distributed import DistributedMachine
 from repro.core.machine import FasdaMachine
 from repro.md import build_dataset
-from repro.oracles import exchange_positions_loop
+from repro.oracles import exchange_positions_loop, machine_pass_chunked
 
 GRIDS = [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)]
 
@@ -49,20 +50,16 @@ class TestTrafficAccountingEquivalence:
     @pytest.mark.parametrize("fpga_grid", GRIDS)
     def test_vectorized_matches_loop_oracle(self, fpga_grid):
         m = _machine(fpga_grid)
-        m.traffic_impl = "vectorized"
         vec = _stats_signature(m.compute_forces())
-        m.traffic_impl = "loop"
-        loop = _stats_signature(m.compute_forces())
+        loop = _stats_signature(machine_pass_chunked(m)[0])
         assert vec == loop
 
     def test_vectorized_matches_loop_after_steps(self):
         # Same equivalence on a perturbed (non-lattice) configuration.
         m = _machine((2, 2, 2))
         m.run(3)
-        m.traffic_impl = "vectorized"
         vec = _stats_signature(m.compute_forces())
-        m.traffic_impl = "loop"
-        loop = _stats_signature(m.compute_forces())
+        loop = _stats_signature(machine_pass_chunked(m)[0])
         assert vec == loop
 
     def test_traffic_off_produces_empty_accounting(self):
@@ -71,17 +68,16 @@ class TestTrafficAccountingEquivalence:
         assert stats.position_records == {}
         assert stats.force_records == {}
         assert all(s.total_records == 0 for s in stats.pr_load.values())
+        oracle, _ = machine_pass_chunked(m, collect_traffic=False)
+        assert _stats_signature(stats) == _stats_signature(oracle)
 
 
 class TestPairPathEquivalence:
     def test_padded_matches_chunked_exactly(self):
         m = _machine((2, 2, 2))
-        m.pair_path = "padded"
         sp = m.compute_forces()
         fp = m.forces.copy()
-        m.pair_path = "chunked"
-        sc = m.compute_forces()
-        fc = m.forces.copy()
+        sc, fc = machine_pass_chunked(m)
         # Integer workload statistics are bitwise equal (same admitted
         # pair set through the real filter on both paths).
         assert _stats_signature(sp) == _stats_signature(sc)
@@ -104,7 +100,6 @@ class TestPairPathEquivalence:
         banks = []
         for fpga_grid in GRIDS:
             m = _machine(fpga_grid)
-            m.pair_path = "padded"
             m.compute_forces()
             banks.append(m.forces.copy())
         for other in banks[1:]:

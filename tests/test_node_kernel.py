@@ -7,7 +7,12 @@ empty cells next to dense ones, LJ and LJ + Ewald, every node count
 :func:`valid_node_counts` allows — the distributed forces must match
 the single machine's to float32 accumulation order, and the real
 position and force packets must equal the machine's traffic accounting.
+The single machine in turn must match the chunked oracle
+(:func:`repro.oracles.machine_pass_chunked`): every integer statistic,
+traffic record and ring load bitwise, forces to accumulation order.
 """
+
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -20,6 +25,7 @@ from repro.core.elasticity import fpga_grid_for, valid_node_counts
 from repro.core.machine import FasdaMachine
 from repro.md import build_dataset
 from repro.md.system import ParticleSystem
+from repro.oracles import machine_pass_chunked
 
 #: Particles per cell of the dense source lattice; kept cells hold a
 #: prefix of their lattice particles, so spacing stays physical.
@@ -94,6 +100,21 @@ def _rel_err(got, want):
     return float(np.abs(got - want).max() / scale)
 
 
+def _stats_signature(stats):
+    """Everything StepStats asserts bitwise (potential and timings
+    excluded: float32 accumulation order and wall clock)."""
+    return dict(
+        position_records=stats.position_records,
+        force_records=stats.force_records,
+        pr_load={n: asdict(s) for n, s in stats.pr_load.items()},
+        fr_load={n: asdict(s) for n, s in stats.fr_load.items()},
+        candidates=stats.candidates_per_cell.tolist(),
+        accepted=stats.accepted_per_cell.tolist(),
+        occupancy=stats.occupancy_per_cell.tolist(),
+        nbr_frc=stats.neighbor_force_records_per_cell.tolist(),
+    )
+
+
 def _expected_packets(cfg, stats):
     """Packets the machine's traffic accounting implies: ceil(records /
     records_per_packet) per position flow, and per force destination
@@ -121,6 +142,9 @@ def test_distributed_matches_machine_on_generated_systems(case):
     cfg = _config(dims, nodes, coulomb)
     m = FasdaMachine(cfg, system=system.copy())
     stats = m.compute_forces(collect_traffic=True)
+    oracle, f_oracle = machine_pass_chunked(m)
+    assert _stats_signature(stats) == _stats_signature(oracle)
+    assert _rel_err(m.forces, f_oracle) < 1e-4
     d = DistributedMachine(cfg, system=system.copy())
     potential = d.compute_forces()
     assert _rel_err(d.forces, m.forces) < 1e-5
@@ -246,3 +270,43 @@ def test_kernel_pipeline_is_the_datapath_bitwise(coulomb):
         f_ref, e_ref = f_ref + fc, e_ref + ec
     assert np.array_equal(np.stack([fx, fy, fz], axis=1), f_ref)
     assert np.array_equal(e, e_ref)
+
+
+def test_blocked_band_search_is_one_block_bitwise(monkeypatch):
+    """Home cells searched in blocks (budget shrunk to a few cells)
+    give bitwise the lists of one unblocked search, for the whole box
+    and for one node's home cells."""
+    from repro.core.machine import _FRESH_BAND, _OFFS14
+    from repro.core.datapath import quantize_cell_fractions
+    from repro.md import cellstate
+    from repro.md.cells import CellList
+
+    dims = (4, 3, 5)
+    rng = np.random.default_rng(3)
+    occupancy = list(rng.choice(OCCUPANCY, size=int(np.prod(dims))))
+    occupancy[7] = DENSE
+    system = make_case(dims, occupancy, False, seed=3)
+    m = FasdaMachine(_config(dims, 1, False), system=system)
+    pos = m.system.positions
+    clist = CellList(m.grid, pos)
+    frac = quantize_cell_fractions(
+        pos, m.grid.coords_of_positions(pos), m.config.cutoff, m.fmt
+    )[clist.order]
+    cap = int(clist.counts.max())
+    homes = np.flatnonzero(clist.counts)[::2]
+
+    def search(**kw):
+        return cellstate.band_slot_pairs(
+            m._plan, clist.start, clist.counts, frac, _OFFS14, _FRESH_BAND,
+            **kw,
+        )
+
+    whole, part = search(), search(homes=homes, cap=cap)
+    for budget in (cap * cap, 3 * cap * cap + 1, 7 * cap * cap):
+        monkeypatch.setattr(cellstate, "_PADDED_MAX_ELEMS", budget)
+        for ref, got in ((whole, search()), (part, search(homes=homes, cap=cap))):
+            for name in ("a", "b", "c", "js", "segs"):
+                want, have = getattr(ref, name), getattr(got, name)
+                assert have.dtype == want.dtype, name
+                assert np.array_equal(have, want), (budget, name)
+    assert whole.n_pairs > part.n_pairs > 0

@@ -21,6 +21,8 @@ The contract under test, per layer:
   in-run bitwise asserts green.
 """
 
+import copy
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -35,6 +37,7 @@ from repro.harness.profiling import (
     DISTRIBUTED_PHASES,
     MACHINE_PHASES,
     check_accounting_kernels,
+    format_profile,
     run_profile,
 )
 from repro.md import CellGrid, LJTable, ParticleSystem
@@ -51,6 +54,7 @@ from repro.md.pairplan import (
     plan_for_grid,
     set_plan_cache_maxsize,
 )
+from repro.oracles import machine_pass_chunked
 
 DIMS = (3, 3, 3)
 
@@ -85,12 +89,8 @@ def _signatures_match(system, fpga_grid=(1, 1, 1)):
     """Vectorized-vs-loop traffic equivalence on one system."""
     cfg = MachineConfig(DIMS, fpga_grid)
     vec = FasdaMachine(cfg, system=system)
-    vec.traffic_impl = "vectorized"
-    loop = FasdaMachine(cfg, system=system)
-    loop.pair_path = "chunked"
-    loop.traffic_impl = "loop"
     sv = vec.compute_forces()
-    sl = loop.compute_forces()
+    sl, _ = machine_pass_chunked(vec)
     assert _stats_signature(sv) == _stats_signature(sl)
     return sv
 
@@ -417,6 +417,32 @@ class TestRunProfileDocument:
         )
         assert d["phases_s"]["force"] <= wall
         assert abs(wall - excl) <= 0.05 * wall
+
+    def test_printed_phase_rows_sum_to_100(self, doc):
+        """Every printed phase row is exclusive (``traffic`` without its
+        nested ``ring``), so each section's percentages add up to its
+        step wall — also when the ring is a large share of it."""
+        heavy = copy.deepcopy(doc)
+        wall = heavy["machine"]["phase_step_wall_s"]
+        heavy["machine"]["phases_s"] = {
+            "build": 0.2 * wall, "force": 0.3 * wall, "traffic": 0.4 * wall,
+            "ring": 0.3 * wall, "integrate": 0.1 * wall,
+        }
+        row = re.compile(r"^ {4}\w+ +[-\d.]+ ms +([-\d.]+)%$")
+        for d in (doc, heavy):
+            sections, run = [], []
+            for line in format_profile(d).splitlines() + [""]:
+                m = row.match(line)
+                if m:
+                    run.append(float(m.group(1)))
+                elif run:
+                    sections.append(run)
+                    run = []
+            assert [len(r) for r in sections] == [
+                len(MACHINE_PHASES), len(DISTRIBUTED_PHASES)
+            ]
+            for pcts in sections:
+                assert abs(sum(pcts) - 100.0) <= 5.0, pcts
 
     def test_points_feed_the_regression_gate(self, doc):
         assert check_regression(doc, doc) == []

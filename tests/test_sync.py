@@ -10,6 +10,7 @@ from repro.core.sync import (
     run_chained_sync,
     straggler_work,
 )
+from repro.faults import PredicateInjector
 from repro.network.topology import RingTopology, TorusTopology
 from repro.util.errors import ConfigError
 
@@ -222,7 +223,7 @@ class TestFaultInjection:
         with pytest.raises(SimulationError, match="deadlock"):
             run_chained_sync(
                 TORUS, constant_work(1000.0), n_iterations=2,
-                drop_message_fn=drop_first_last_position,
+                injector=PredicateInjector(drop_first_last_position),
             )
 
     def test_lost_last_force_deadlocks(self):
@@ -239,13 +240,13 @@ class TestFaultInjection:
         with pytest.raises(SimulationError, match="deadlock"):
             run_chained_sync(
                 TORUS, constant_work(1000.0), n_iterations=2,
-                drop_message_fn=drop_first_last_force,
+                injector=PredicateInjector(drop_first_last_force),
             )
 
     def test_no_drops_is_healthy(self):
         res = run_chained_sync(
             TORUS, constant_work(1000.0), n_iterations=2,
-            drop_message_fn=lambda msg: False,
+            injector=PredicateInjector(lambda msg: False),
         )
         assert res.makespan > 0
 
