@@ -1232,10 +1232,11 @@ class DistributedMachine(_Datapath):
         if homes.size == 0:
             return bank, 0.0, {}
         plan = self._plan
+        backend = resolve_backend(self.force_impl)
         start = np.concatenate([[0], np.cumsum(view.counts)])
         pairs = band_slot_pairs(
             plan, start, view.counts, view.frac, _OFFS14, _FRESH_BAND,
-            homes=homes, cap=cap,
+            homes=homes, cap=cap, backend=backend,
         )
         kernel = self._kernel
         art = _BandArtifacts(
@@ -1260,7 +1261,7 @@ class DistributedMachine(_Datapath):
             nbr_bank,
             np.zeros(plan.n_cells, dtype=np.int64),
             uniq_per_row,
-            resolve_backend(self.force_impl),
+            backend,
             arena,
         )
         np.add(home_bank, nbr_bank, out=bank)

@@ -47,6 +47,7 @@ from repro.md.kernels import scatter_add
 from repro.md.pairplan import ROWS_PER_CELL, candidates_per_cell, plan_for_grid
 from repro.md.cellstate import CellState, band_slot_pairs, machine_pack_fn
 from repro.md.backends import (
+    ForceBackend,
     admit_flat_numpy,
     resolve_backend,
     traffic_flat_numpy,
@@ -137,12 +138,12 @@ class StepStats:
             fabric.add_records(src, dst, "force", records)
 
 
-#: Home offset + 13 half-shell offsets, f64 — row k of every padded pass.
+#: Home offset + 13 half-shell offsets, f64 — row k of every band search.
 _OFFS14 = np.concatenate(
     [np.zeros((1, 3)), np.asarray(HALF_SHELL_OFFSETS, dtype=np.float64)]
 )
 
-#: Squared-distance band of a fresh (skinless) padded candidate search:
+#: Squared-distance band of a fresh (skinless) band search:
 #: the normalized cutoff 1 plus a conservative float32 margin — the
 #: band only ever admits *extra* candidates to the exact recheck.
 _FRESH_BAND = 1.0 + 1e-3
@@ -783,7 +784,7 @@ class FasdaMachine(_Datapath):
         #: potential are **bitwise identical** across backends.
         self.force_impl: Optional[str] = None
         #: Step-persistent cell state (PR 4): when True, binning and the
-        #: padded candidate search are amortized across steps through a
+        #: band search are amortized across steps through a
         #: skin-banded :class:`~repro.md.cellstate.CellState`, rebuilt on
         #: the skin/2 displacement criterion or any cell reassignment.
         #: Forces, energies and all workload statistics stay bitwise
@@ -821,10 +822,10 @@ class FasdaMachine(_Datapath):
         The :class:`NodeKernel` walks band lists: the persistent
         skin-banded lists of the :class:`~repro.md.cellstate.CellState`
         when ``reuse_state`` is on, else those of a fresh skinless band
-        search (batched per-cell float32 matmuls with a conservative
-        band).  The kernel's exact recheck admits the same pair set as
-        the real :class:`~repro.core.datapath.PairFilter`, so every
-        pipeline input and all integer workload statistics are
+        search (the backend's ``band_search`` float32 screen with a
+        conservative band).  The kernel's exact recheck admits the same
+        pair set as the real :class:`~repro.core.datapath.PairFilter`,
+        so every pipeline input and all integer workload statistics are
         bit-identical to the chunked enumeration of
         :func:`repro.oracles.machine_pass_chunked`, the oracle this pass
         is checked against.  Traffic accounting runs as vectorized
@@ -836,11 +837,12 @@ class FasdaMachine(_Datapath):
         pos = self.system.positions
         n = self.system.n
         n_cells = grid.n_cells
+        backend = resolve_backend(self.force_impl)
         with self.timings.phase("build"):
             state = None
             if self.reuse_state:
                 state = self.ensure_cell_state()
-                state.ensure(pos)
+                state.ensure(pos, backend)
                 clist = state.clist
                 coords = state.coords
             else:
@@ -869,7 +871,7 @@ class FasdaMachine(_Datapath):
         with self.timings.phase("force"):
             potential = self._eval_band(
                 state, clist, frac, home_bank, nbr_bank, accepted,
-                uniq_per_row,
+                uniq_per_row, backend,
             )
 
         nbr_frc_records = np.zeros(n_cells, dtype=np.int64)
@@ -939,12 +941,12 @@ class FasdaMachine(_Datapath):
         nbr_bank: np.ndarray,
         accepted: np.ndarray,
         uniq_per_row: np.ndarray,
+        backend: ForceBackend,
     ) -> np.float32:
         """Whole-box :class:`NodeKernel` pass into slot-indexed banks.
 
         Over the persistent skin-banded lists of ``state`` when reuse is
-        on, else over a fresh skinless band search (``ROWS_PER_CELL *
-        cap^2`` work per occupied cell however full the buckets are).
+        on, else over a fresh skinless band search run by ``backend``.
         Both admit bitwise the same pair sequence (see
         :meth:`NodeKernel.evaluate`).
         """
@@ -957,7 +959,7 @@ class FasdaMachine(_Datapath):
                 cap = int(clist.counts.max())
                 pairs = band_slot_pairs(
                     self._plan, clist.start, clist.counts, frac[order],
-                    _OFFS14, _FRESH_BAND,
+                    _OFFS14, _FRESH_BAND, backend=backend,
                 )
             art = _BandArtifacts(
                 self._kernel,
@@ -985,7 +987,7 @@ class FasdaMachine(_Datapath):
             fs.append(col)
         return self._kernel.evaluate(
             *fs, art, home_bank, nbr_bank, accepted, uniq_per_row,
-            resolve_backend(self.force_impl), ar,
+            backend, ar,
         )
 
     # -- traffic accounting ----------------------------------------------------

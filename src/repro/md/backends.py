@@ -17,7 +17,8 @@ Backends
     The classic per-offset numpy paths in :mod:`repro.md.reference` and
     :mod:`repro.core.machine` — bitwise-stable, dependency-free, the
     default and the CI-green path.  Selecting it means "no flat kernel":
-    consumers keep their existing code.
+    consumers keep their existing code, and the band search runs its
+    numpy oracle.
 ``soa``
     The flat/SoA restructure in *pure numpy*: one pass over the flat
     index arrays with a conservative float32 prescreen, survivor
@@ -53,6 +54,18 @@ Kernel contracts (see DESIGN.md §10)
   sort by ``key*n + row``), which is exactly ``np.bincount(inv,
   weights)``'s order, so the results are **bitwise identical** to the
   ``np.unique`` + ``bincount`` + ``np.maximum.at`` reference.
+* ``band_search`` (cell layer, float32): the candidate screen behind
+  :func:`~repro.md.cellstate.band_slot_pairs`, which validates the
+  bucket layout before any kernel runs.  Per plan row ``k`` of each
+  home cell (row 0 the cell itself, ``j > i`` there), a candidate is
+  kept when its float32 ``r2`` — per axis ``d = (p_i - p_j) - o``,
+  then ``(dx*dx + dy*dy) + dz*dz`` — is ``< float32(band)``; NaN is
+  never kept.  Returns int64 ``(a, b, c, js)`` per candidate,
+  offset-major, then home cell, slot i, slot j, plus the per-row
+  ``segs`` prefix offsets.  The numpy oracle screens NaN-padded
+  ``(cells, cap, cap)`` blocks; ``cext`` walks real slots only, counts
+  then fills exactly sized outputs, and releases the GIL.  Every
+  operation is restated, so the lists are **bitwise identical**.
 * ``ring_charge`` (accounting layer, int64): in-place circular
   range-add of ``counts[k]`` onto the ``hops[k]`` ring links leaving
   ``src[k]`` — the hot loop of
@@ -143,6 +156,10 @@ class ForceBackend:
     #: rows).  Bitwise identical by construction.  ``None`` = keep the
     #: three-bincount numpy helper.
     scatter_cols: Optional[Callable] = None
+    #: Band-list candidate search (cell layer, float32): see
+    #: :func:`band_search_numpy` for the contract.  ``None`` = the
+    #: numpy kernel.
+    band_search: Optional[Callable] = None
     #: True when selecting this backend changes no code path at all.
     is_reference: bool = field(default=False)
 
@@ -505,6 +522,107 @@ def admit_flat_numpy(
     return idx, r2fc[keep], dxc[keep], dyc[keep], dzc[keep]
 
 
+#: Element budget of one padded candidate block of
+#: :func:`band_search_numpy`: a block holds at most
+#: ``_PADDED_MAX_ELEMS // cap^2`` home cells, so its ``(cells, cap,
+#: cap)`` scratch stays bounded (80 MB of float32 per array at the
+#: budget) however large or skewed the box.
+_PADDED_MAX_ELEMS = 20_000_000
+
+#: Home cells per block of :func:`band_search_numpy` (when the element
+#: budget allows that many): each block is padded to its own largest
+#: occupancy, so on a sparse box only the blocks near a dense cell pay
+#: its ``cap^2``.
+_BAND_BLOCK_CELLS = 64
+
+
+def band_search_numpy(
+    nbr: np.ndarray,
+    start: np.ndarray,
+    counts: np.ndarray,
+    ps: np.ndarray,
+    offs: np.ndarray,
+    band: np.float32,
+    homes: np.ndarray,
+    cap: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Band-list candidate search in numpy (the ``band_search`` oracle).
+
+    ``nbr`` is the ``(C, K)`` plan-row neighbor table (row 0 the cell
+    itself), ``start``/``counts`` the ``(C,)`` bucket layout, ``ps``
+    the ``(n, 3)`` float32 packed vectors in slot order, ``offs`` the
+    ``(K, 3)`` float32 row offsets, ``homes`` the ascending home cells
+    and ``cap`` at least the occupancy of every home and neighbor cell
+    (:func:`~repro.md.cellstate.band_slot_pairs` validates all of it).
+    A candidate (home slot i, neighbor slot j; j > i on row 0) is kept
+    when its float32 ``r2`` — per axis ``d = (p_i - p_j) - o``, then
+    ``(dx*dx + dy*dy) + dz*dz`` — is ``< band``.  Returns ``(a, b, c,
+    js, segs)``: int64 home slot, neighbor slot, home cell and
+    neighbor slot-within-bucket per candidate, and the ``K + 1``
+    per-row prefix offsets; within a row, candidates are in ascending
+    (home, i, j) order.  Buckets are padded with NaN, which fails every
+    compare; home cells are walked in blocks (:data:`_BAND_BLOCK_CELLS`,
+    fewer if :data:`_PADDED_MAX_ELEMS` requires), each padded to its
+    own occupancies, and each row's survivors are concatenated in
+    block order, so blocking never changes the lists.
+    """
+    C, K = nbr.shape
+    n = len(ps)
+    slot_cid = np.repeat(np.arange(C, dtype=np.int64), counts)
+    within = np.arange(n, dtype=np.int64) - start[slot_cid]
+    P = np.full((3, C, cap), np.nan, dtype=np.float32)
+    P[:, slot_cid, within] = ps.T
+    blk = max(1, min(
+        len(homes), _BAND_BLOCK_CELLS, _PADDED_MAX_ELEMS // max(cap * cap, 1)
+    ))
+    d_buf = np.empty(blk * cap * cap, dtype=np.float32)
+    r2_buf = np.empty_like(d_buf)
+    keep_buf = np.empty(d_buf.shape, dtype=bool)
+    upper = np.triu(np.ones((cap, cap), dtype=bool), 1)
+
+    # Per row, the (a, b, c, js) survivors of every block in order.
+    found: List[List[Tuple[np.ndarray, ...]]] = [[] for _ in range(K)]
+    for lo in range(0, len(homes), blk):
+        hb = homes[lo:lo + blk]
+        nh = len(hb)
+        # Pad each block only to its own occupancies: the padding of a
+        # sparse box's few dense cells stays local to their blocks.
+        ch = int(counts[hb].max())
+        Ph = P[:, hb, :ch, None]
+        sh = start[hb]
+        for k in range(K):
+            nb = nbr[hb, k]
+            cn = int(counts[nb].max())
+            size = nh * ch * cn
+            if size == 0:
+                continue
+            db = d_buf[:size].reshape(nh, ch, cn)
+            rb = r2_buf[:size].reshape(nh, ch, cn)
+            kb = keep_buf[:size].reshape(nh, ch, cn)
+            Q = P[:, nb, None, :cn]
+            for ax in range(3):
+                t = rb if ax == 0 else db
+                np.subtract(Ph[ax], Q[ax], out=t)
+                if offs[k, ax]:
+                    t -= offs[k, ax]
+                t *= t
+                if ax:
+                    rb += db
+            np.less(rb, band, out=kb)
+            if k == 0:
+                kb &= upper[:ch, :cn]
+            cl, i = np.divmod(np.flatnonzero(kb), ch * cn)
+            i, j = np.divmod(i, cn)
+            found[k].append((sh[cl] + i, start[nb][cl] + j, hb[cl], j))
+    segs = np.zeros(K + 1, dtype=np.int64)
+    segs[1:] = np.cumsum([sum(len(f[0]) for f in per_k) for per_k in found])
+    parts = [f for per_k in found for f in per_k]
+    if not parts:
+        parts = [(np.empty(0, dtype=np.int64),) * 4]
+    a, b, c, js = (np.concatenate(col) for col in zip(*parts))
+    return a, b, c, js, segs
+
+
 def traffic_flat_numpy(
     keys: np.ndarray,
     weights: Optional[np.ndarray] = None,
@@ -623,6 +741,19 @@ void rom_eval_f32(const float *r2, const float *dx, const float *dy,
 void scatter_cols_f32(float *bank, const int64_t *idx,
                       const float *wx, const float *wy, const float *wz,
                       int64_t m, int64_t n, double *acc);
+void band_count_f32(const float *px, const float *py, const float *pz,
+                    const int64_t *start, const int64_t *counts,
+                    const int64_t *nbr, int64_t n_rows,
+                    const int64_t *homes, int64_t n_homes,
+                    const float *offs, float band,
+                    const int64_t *rowbase, int64_t W, uint8_t *keep,
+                    uint64_t *bits, int64_t *cnt);
+void band_fill_i64(const int64_t *start, const int64_t *counts,
+                   const int64_t *nbr, int64_t n_rows,
+                   const int64_t *homes, int64_t n_homes,
+                   const int64_t *rowbase, int64_t W, const uint64_t *bits,
+                   const int64_t *at, int64_t *a_out, int64_t *b_out,
+                   int64_t *c_out, int64_t *js_out);
 """
 
 _C_SOURCE = r"""
@@ -935,6 +1066,118 @@ void scatter_cols_f32(float *bank, const int64_t *idx,
     for (int64_t i = 0; i < 3 * n; i++)
         bank[i] = bank[i] + (float)acc[i];
 }
+
+/* Band-list candidate search (cell layer, float32): the real-slot
+ * restatement of band_search_numpy.  For plan row k of home cell c
+ * (neighbor cell nbr[c * n_rows + k], row 0 the cell itself), every
+ * home slot i and neighbor slot j (j > i on row 0) gets the float32
+ * r2 associated exactly like the oracle -- per axis (p_i - p_j) - o,
+ * then (dx*dx + dy*dy) + dz*dz -- and is kept when r2 < band (NaN
+ * never is).  The count pass packs each home slot's keep flags into
+ * W 64-bit words at bits[(k * rowbase[n_homes] + rowbase[h] + i) * W]
+ * (rowbase: prefix sums of the homes' occupancies) and counts every
+ * (k, home) block; the fill pass decodes the words and writes each
+ * block at its prefix offset at[k * n_homes + h].  Both walk rows
+ * offset-major, then homes in the given (ascending) order, then i,
+ * then j: the oracle's flat order.  keep is caller scratch of
+ * 64 * W bytes, W * 64 at least the largest searched occupancy. */
+#pragma GCC push_options
+#pragma GCC optimize ("O3")  /* vectorize the row loop; no fp change */
+static void band_row_keep(const float *px, const float *py, const float *pz,
+                          int64_t si, int64_t sj, int64_t j0, int64_t nj,
+                          int64_t je, float ox, float oy, float oz,
+                          float band, uint8_t *keep)
+{
+    float xi = px[si], yi = py[si], zi = pz[si];
+    for (int64_t j = 0; j < j0; j++)
+        keep[j] = 0;
+    for (int64_t j = j0; j < nj; j++) {
+        float dx = (xi - px[sj + j]) - ox;
+        float dy = (yi - py[sj + j]) - oy;
+        float dz = (zi - pz[sj + j]) - oz;
+        keep[j] = (dx * dx + dy * dy) + dz * dz < band;
+    }
+    for (int64_t j = nj; j < je; j++)
+        keep[j] = 0;
+}
+
+/* Keep flags (0/1 bytes) -> 64-bit words, flag j at bit j % 64; returns
+ * the number of set bits.  The multiply gathers the low bit of each of
+ * eight bytes into one byte. */
+static int64_t band_pack_bits(const uint8_t *keep, int64_t nw, uint64_t *bw)
+{
+    int64_t m = 0;
+    for (int64_t g = 0; g < nw; g++) {
+        uint64_t word = 0;
+        for (int b = 0; b < 8; b++) {
+            const uint8_t *q = keep + 64 * g + 8 * b;
+            uint64_t w8 = 0;
+            for (int t = 7; t >= 0; t--)
+                w8 = (w8 << 8) | q[t];
+            word |= ((w8 * 0x0102040810204080ULL) >> 56) << (8 * b);
+        }
+        bw[g] = word;
+        m += __builtin_popcountll(word);
+    }
+    return m;
+}
+
+void band_count_f32(const float *px, const float *py, const float *pz,
+                    const int64_t *start, const int64_t *counts,
+                    const int64_t *nbr, int64_t n_rows,
+                    const int64_t *homes, int64_t n_homes,
+                    const float *offs, float band,
+                    const int64_t *rowbase, int64_t W, uint8_t *keep,
+                    uint64_t *bits, int64_t *cnt)
+{
+    for (int64_t k = 0; k < n_rows; k++) {
+        float ox = offs[3 * k], oy = offs[3 * k + 1], oz = offs[3 * k + 2];
+        for (int64_t h = 0; h < n_homes; h++) {
+            int64_t c = homes[h], nb = nbr[c * n_rows + k];
+            int64_t si = start[c], ni = counts[c];
+            int64_t sj = start[nb], nj = counts[nb];
+            int64_t nw = (nj + 63) >> 6;
+            uint64_t *bw = bits + (k * rowbase[n_homes] + rowbase[h]) * W;
+            int64_t m = 0;
+            for (int64_t i = 0; i < ni; i++, bw += W) {
+                band_row_keep(px, py, pz, si + i, sj, k == 0 ? i + 1 : 0,
+                              nj, 64 * nw, ox, oy, oz, band, keep);
+                m += band_pack_bits(keep, nw, bw);
+            }
+            cnt[k * n_homes + h] = m;
+        }
+    }
+}
+
+void band_fill_i64(const int64_t *start, const int64_t *counts,
+                   const int64_t *nbr, int64_t n_rows,
+                   const int64_t *homes, int64_t n_homes,
+                   const int64_t *rowbase, int64_t W, const uint64_t *bits,
+                   const int64_t *at, int64_t *a_out, int64_t *b_out,
+                   int64_t *c_out, int64_t *js_out)
+{
+    for (int64_t k = 0; k < n_rows; k++) {
+        for (int64_t h = 0; h < n_homes; h++) {
+            int64_t c = homes[h], nb = nbr[c * n_rows + k];
+            int64_t si = start[c], ni = counts[c], sj = start[nb];
+            int64_t nw = (counts[nb] + 63) >> 6;
+            const uint64_t *bw = bits + (k * rowbase[n_homes] + rowbase[h]) * W;
+            int64_t p = at[k * n_homes + h];
+            for (int64_t i = 0; i < ni; i++, bw += W) {
+                for (int64_t g = 0; g < nw; g++) {
+                    for (uint64_t w = bw[g]; w; w &= w - 1, p++) {
+                        int64_t j = 64 * g + __builtin_ctzll(w);
+                        a_out[p] = si + i;
+                        b_out[p] = sj + j;
+                        c_out[p] = c;
+                        js_out[p] = j;
+                    }
+                }
+            }
+        }
+    }
+}
+#pragma GCC pop_options
 """
 
 #: No-FMA, no-fast-math: the float32 machine kernel must round exactly
@@ -1157,6 +1400,36 @@ def _make_cext_backend() -> ForceBackend:
             m, int(n), ptr("double *", acc),
         )
 
+    def band_search(nbr, start, counts, ps, offs, band, homes, cap):
+        K, H = nbr.shape[1], len(homes)
+        W = max(1, -(-cap // 64))
+        rowbase = np.zeros(H + 1, dtype=np.int64)
+        np.cumsum(counts[homes], out=rowbase[1:])
+        layout = (
+            ptr("int64_t *", start), ptr("int64_t *", counts),
+            ptr("int64_t *", nbr), K, ptr("int64_t *", homes), H,
+        )
+        cols = [np.ascontiguousarray(ps[:, ax]) for ax in range(3)]
+        keep = np.empty(64 * W, dtype=np.uint8)
+        bits = np.empty(K * int(rowbase[-1]) * W, dtype=np.uint64)
+        cnt = np.empty(K * H, dtype=np.int64)
+        lib.band_count_f32(
+            *(ptr("float *", col) for col in cols), *layout,
+            ptr("float *", offs), band, ptr("int64_t *", rowbase), W,
+            ptr("uint8_t *", keep), ptr("uint64_t *", bits),
+            ptr("int64_t *", cnt),
+        )
+        # Exactly sized outputs, each (k, home) block at its offset.
+        at = np.zeros(K * H + 1, dtype=np.int64)
+        np.cumsum(cnt, out=at[1:])
+        out = [np.empty(int(at[-1]), dtype=np.int64) for _ in range(4)]
+        lib.band_fill_i64(
+            *layout, ptr("int64_t *", rowbase), W, ptr("uint64_t *", bits),
+            ptr("int64_t *", at), *(ptr("int64_t *", o) for o in out),
+        )
+        segs = at[::H].copy() if H else np.zeros(K + 1, dtype=np.int64)
+        return (*out, segs)
+
     return ForceBackend(
         name="cext",
         available=True,
@@ -1168,6 +1441,7 @@ def _make_cext_backend() -> ForceBackend:
         ring_charge=ring_charge,
         rom_eval=rom_eval,
         scatter_cols=scatter_cols,
+        band_search=band_search,
     )
 
 

@@ -557,7 +557,7 @@ class BatchedEngine:
         st = seg.state
         if not hasattr(st, "builds_restore_base"):
             st.builds_restore_base = st.builds + st.reuse_steps
-        st.build(positions)
+        st.build(positions, self._backend)
         st.last_rebuilt = True
         if not _padded_viable(seg.plan, st.clist):
             return False

@@ -1,18 +1,23 @@
 """Step-persistent cell state: skin-banded pair lists reused across steps.
 
-PR 1 and PR 2 made a *single* force evaluation fast, but every step
-still pays the full binning + padded-broadcast candidate search even
-when no particle has moved meaningfully.  The paper amortizes exactly
-this (cell lists are rebuilt on migration, not every iteration), and
-CPU MD engines amortize it with a Verlet skin.  :class:`CellState`
-brings that amortization to the cell-list hot paths while keeping the
-results **bitwise identical** to the rebuild-every-step code:
+Every step needs the candidate pairs of the cell list: the band search
+(:func:`band_slot_pairs`) screens each home cell's plan rows against
+a squared-distance band, as the paper's filter stage checks every
+neighbor-cell candidate on every iteration.  It dispatches to the
+``band_search`` kernel of the consumer's backend: the compiled kernel
+walks real slots only, the numpy oracle NaN-padded ``(cells, cap,
+cap)`` blocks, with one pinned float32 association, so both emit
+bitwise the same lists.  The paper rebuilds cell lists on migration,
+not every iteration, and CPU MD engines amortize the search with a
+Verlet skin.  :class:`CellState` brings that amortization to the
+cell-list hot paths while keeping the results **bitwise identical** to
+the rebuild-every-step code:
 
-* At build time the padded-broadcast matmul search runs once with the
-  cutoff *widened by a skin*, producing, per half-shell offset, the flat
-  (cell, slot_i, slot_j) candidate list in exactly the order the fresh
-  padded path would enumerate its own survivors.
-* On reuse steps the candidate matmuls are skipped entirely; the exact
+* At build time the band search runs once with the cutoff *widened by
+  a skin*, producing, per half-shell offset, the flat (cell, slot_i,
+  slot_j) candidate list in exactly the order a fresh skinless search
+  enumerates its own survivors.
+* On reuse steps the search is skipped entirely; the exact
   float64 recheck (or the fixed-point :class:`~repro.core.datapath.PairFilter`
   admission) runs over the persistent band list.  Because every pair the
   fresh path could admit is guaranteed to be in the band (the classic
@@ -22,9 +27,9 @@ results **bitwise identical** to the rebuild-every-step code:
 * The state is invalidated by the skin/2 displacement criterion (the
   same rule as :meth:`repro.md.neighborlist.VerletNeighborList.needs_rebuild`,
   which now shares :func:`skin_exceeded`) **or** by any change of the
-  cell assignment itself: identical binning is what makes the padded
-  packing, the bucket order, and hence the accumulation grouping of the
-  reuse path equal to a fresh build's.  Box/grid changes force a new
+  cell assignment itself: identical binning is what makes the bucket
+  order, and hence the accumulation grouping of the reuse path, equal
+  to a fresh build's.  Box/grid changes force a new
   state object altogether (the state is keyed to one grid).
 
 Consumers attach layer-specific artifacts (pre-gathered coefficient
@@ -35,10 +40,11 @@ rebuild invalidates them automatically.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.md.backends import ForceBackend, band_search_numpy
 from repro.md.cells import CellGrid, CellList, HALF_SHELL_OFFSETS
 from repro.md.pairplan import ROWS_PER_CELL, CellPairPlan
 from repro.util.errors import ValidationError
@@ -78,12 +84,12 @@ class BandPairs:
         ``(L,)`` int64 evaluating (home) cell id per candidate.
     js:
         ``(L,)`` int64 neighbor-side slot-within-bucket per candidate
-        (the padded path's ``j_of`` decode, for presence-bit statistics).
+        (for presence-bit statistics).
     segs:
         ``ROWS_PER_CELL + 1`` prefix offsets: candidates of offset ``k``
         occupy ``a[segs[k]:segs[k+1]]``, in ascending flat
-        ``(cell, slot_i, slot_j)`` order — the exact enumeration order
-        of the fresh padded path's ``flatnonzero`` survivors.
+        ``(cell, slot_i, slot_j)`` order — the enumeration order of
+        every band search, skin-banded or fresh.
     """
 
     __slots__ = ("a", "b", "c", "js", "segs")
@@ -100,14 +106,6 @@ class BandPairs:
         return int(self.segs[-1])
 
 
-#: Element budget of one padded candidate block: the band search walks
-#: home cells in blocks of at most ``_PADDED_MAX_ELEMS // cap^2`` cells,
-#: so its ``(cells, cap, cap)`` scratch and decode tables stay bounded
-#: (80 MB of float32 per array at the budget) however large or skewed
-#: the box.  Dense boxes of up to ~4.9k cells at cap 64 are one block.
-_PADDED_MAX_ELEMS = 20_000_000
-
-
 def band_slot_pairs(
     plan: CellPairPlan,
     start: np.ndarray,
@@ -117,92 +115,82 @@ def band_slot_pairs(
     band: float,
     homes: Optional[np.ndarray] = None,
     cap: Optional[int] = None,
+    backend: Optional[ForceBackend] = None,
 ) -> BandPairs:
-    """Run the padded-broadcast candidate search once with a widened band.
+    """Search the candidate pairs of a bucket layout once, out to ``band``.
 
     ``start``/``counts`` are the bucket layout (cell ``c`` owns slots
     ``start[c]:start[c] + counts[c]``); ``packed_s`` is, in slot order,
-    the per-particle 3-vector the consumer's fresh path feeds its
-    matmuls (quantized cell fractions for the machine, box-local
-    coordinates for the float64 reference); ``offsets`` the
-    corresponding per-offset displacement (cell units or angstrom);
-    ``band`` the widened squared-distance bound *including* the
-    conservative float32 margin.  ``homes`` (ascending cell ids,
-    default every occupied cell) restricts the search to those cells'
-    plan rows — a distributed node's home cells; their neighbor cells
-    are read from the same bucket layout.  ``cap`` (default: the
-    largest occupancy) pads every bucket; callers searching several
-    layouts pass one common value so the plan's decode tables stay
-    cached.  Home cells are searched in blocks of at most
-    :data:`_PADDED_MAX_ELEMS` ``// cap^2`` cells and each offset's
-    survivors are concatenated in block order, so the lists are
-    bitwise those of one unblocked search.  The returned lists
-    enumerate, per offset, every flat (cell, slot_i, slot_j) whose
-    float32 banded ``r2`` passes — a superset of anything the fresh
-    path can admit while no particle has moved more than skin/2.
+    the per-particle 3-vector the consumer's admission test works in
+    (quantized cell fractions for the machine, box-local coordinates
+    for the float64 reference); ``offsets`` the corresponding per-row
+    displacement (cell units or angstrom); ``band`` the widened
+    squared-distance bound *including* the conservative float32
+    margin.  ``homes`` (ascending cell ids, default every occupied
+    cell) restricts the search to those cells' plan rows — a
+    distributed node's home cells; their neighbor cells are read from
+    the same bucket layout.  ``cap`` (default: the largest searched
+    occupancy) only bounds the numpy kernel's padding.
+
+    The search runs ``backend.band_search`` (the numpy kernel when
+    ``backend`` or its kernel is ``None``); every kernel returns
+    bitwise the lists of :func:`~repro.md.backends.band_search_numpy`.
+    The inputs are validated first, because the compiled kernel walks
+    them through raw pointers.  The returned lists enumerate, per
+    offset, every flat (cell, slot_i, slot_j) whose float32 banded
+    ``r2`` passes — a superset of anything the fresh path can admit
+    while no particle has moved more than skin/2.
     """
     C = plan.n_cells
-    if cap is None:
-        cap = int(counts.max()) if counts.size else 0
+    counts = np.ascontiguousarray(counts, dtype=np.int64)
+    start = np.ascontiguousarray(np.asarray(start)[:C], dtype=np.int64)
+    if counts.shape != (C,) or start.shape != (C,):
+        raise ValidationError(
+            f"band search: counts/start must have the plan's {C} cells"
+        )
+    if np.any(counts < 0) or not np.array_equal(
+        start, np.cumsum(counts) - counts
+    ):
+        raise ValidationError(
+            "band search: start must be the prefix sums of counts"
+        )
+    if np.shape(packed_s) != (int(counts.sum()), 3):
+        raise ValidationError(
+            f"band search: packed vectors of shape {np.shape(packed_s)} "
+            f"for {int(counts.sum())} bucketed particles"
+        )
+    if np.shape(offsets) != (ROWS_PER_CELL, 3):
+        raise ValidationError(
+            f"band search: offsets must be ({ROWS_PER_CELL}, 3), "
+            f"got {np.shape(offsets)}"
+        )
     if homes is None:
         homes = np.flatnonzero(counts)
-    n = len(packed_s)
-    slot_cid = np.repeat(np.arange(C, dtype=np.int64), counts)
-    within = np.arange(n, dtype=np.int64) - start[slot_cid]
-    P = np.zeros((C, cap, 3), dtype=np.float32)
-    P[slot_cid, within] = packed_s.astype(np.float32)
-    padm = np.arange(cap)[None, :] >= counts[:, None]
-    S = np.einsum("cix,cix->ci", P, P, dtype=np.float32)
-    S[padm] = np.inf
-
-    nbr_mat = plan.nbr.reshape(C, ROWS_PER_CELL)
-    band32 = np.float32(band)
-    blk = min(C, max(1, _PADDED_MAX_ELEMS // max(cap * cap, 1)))
-    cell_of, i_of, j_of = plan.padded_decode(cap, blk)
-    iu = np.arange(cap)
-    tri = iu[:, None] < iu[None, :]
-    mask = np.empty((blk, cap, cap), dtype=bool)
-    G = np.empty((blk, cap, cap), dtype=np.float32)
-    H = np.empty((blk, cap, cap), dtype=np.float32)
-
-    # Per offset, the (a, b, c, js) survivors of every block in order.
-    found: List[List[Tuple[np.ndarray, ...]]] = [
-        [] for _ in range(ROWS_PER_CELL)
-    ]
-    for lo in range(0, len(homes), blk):
-        hb = homes[lo:lo + blk]
-        nh = len(hb)
-        span = nh * cap * cap
-        cell_b, j_b = cell_of[:span], j_of[:span]
-        Ph = P[hb]
-        Sh = (S[hb] - band32) * np.float32(0.5)
-        a_of = start[hb][cell_b] + i_of[:span]
-        Gb, Hb, mb = G[:nh], H[:nh], mask[:nh]
-        # Block-local cell index -> cell id is the identity for a block
-        # holding cells 0..nh-1 (a dense whole-box search): skip the gather.
-        ident = hb[0] == 0 and hb[-1] == nh - 1
-        for k in range(ROWS_PER_CELL):
-            nb = nbr_mat[hb, k]
-            Q = P[nb] + offsets[k].astype(np.float32)
-            Sq = np.einsum("cix,cix->ci", Q, Q, dtype=np.float32)
-            Sq[padm[nb]] = np.inf
-            np.matmul(Ph, Q.transpose(0, 2, 1), out=Gb)
-            np.add(Sh[:, :, None], (Sq * np.float32(0.5))[:, None, :], out=Hb)
-            np.greater(Gb, Hb, out=mb)
-            if k == 0:
-                mb &= tri
-            flat = np.flatnonzero(mb.reshape(-1))
-            cl = cell_b[flat].astype(np.int64)
-            js = j_b[flat].astype(np.int64)
-            found[k].append(
-                (a_of[flat], start[nb][cl] + js, cl if ident else hb[cl], js)
-            )
-    segs = np.zeros(ROWS_PER_CELL + 1, dtype=np.int64)
-    segs[1:] = np.cumsum([sum(len(f[0]) for f in per_k) for per_k in found])
-    parts = [f for per_k in found for f in per_k]
-    if not parts:
-        parts = [(np.empty(0, dtype=np.int64),) * 4]
-    return BandPairs(*(np.concatenate(col) for col in zip(*parts)), segs)
+    homes = np.ascontiguousarray(homes, dtype=np.int64)
+    if homes.ndim != 1 or (
+        homes.size
+        and (homes[0] < 0 or homes[-1] >= C or np.any(np.diff(homes) <= 0))
+    ):
+        raise ValidationError(
+            f"band search: homes must be strictly ascending in [0, {C})"
+        )
+    nbr = np.ascontiguousarray(
+        plan.nbr.reshape(C, ROWS_PER_CELL), dtype=np.int64
+    )
+    need = int(counts[nbr[homes]].max()) if homes.size else 0
+    if cap is None:
+        cap = need
+    elif cap < need:
+        raise ValidationError(
+            f"band search: cap {cap} below the searched occupancy {need}"
+        )
+    kernel = getattr(backend, "band_search", None) or band_search_numpy
+    return BandPairs(*kernel(
+        nbr, start, counts,
+        np.ascontiguousarray(packed_s, dtype=np.float32),
+        np.ascontiguousarray(offsets, dtype=np.float32),
+        np.float32(band), homes, int(cap),
+    ))
 
 
 class CellState:
@@ -218,8 +206,8 @@ class CellState:
         moves more than ``skin / 2`` (or changes cell).
     pack_fn:
         ``positions -> (packed, offsets, band)``: what the consumer's
-        fresh padded path feeds its candidate matmuls (see
-        :func:`band_slot_pairs`), with ``band`` already widened to
+        band search screens (see :func:`band_slot_pairs`), with
+        ``band`` already widened to
         ``(cutoff + skin)^2`` *in packed units* plus the conservative
         float32 margin.
     """
@@ -288,8 +276,8 @@ class CellState:
 
         * the shared skin/2 displacement criterion (:func:`skin_exceeded`)
           — coverage: an unlisted pair could now be inside the cutoff;
-        * any change of cell assignment — identity: the padded packing,
-          bucket order and accumulation grouping of a fresh build would
+        * any change of cell assignment — identity: the bucket order
+          and accumulation grouping of a fresh build would
           differ from the stored ones, so reuse would stop being
           bit-identical even though it would still be *covering*.
         """
@@ -306,18 +294,29 @@ class CellState:
         self.coords = coords
         return False
 
-    def ensure(self, positions: np.ndarray) -> bool:
-        """Rebuild if required; returns True when a rebuild happened."""
+    def ensure(
+        self, positions: np.ndarray, backend: Optional[ForceBackend] = None
+    ) -> bool:
+        """Rebuild if required; returns True when a rebuild happened.
+
+        ``backend`` runs the band search of a rebuild (see
+        :func:`band_slot_pairs`).
+        """
         if self.needs_rebuild(positions):
-            self.build(positions)
+            self.build(positions, backend)
             self.last_rebuilt = True
             return True
         self.reuse_steps += 1
         self.last_rebuilt = False
         return False
 
-    def build(self, positions: np.ndarray) -> None:
+    def build(
+        self, positions: np.ndarray, backend: Optional[ForceBackend] = None
+    ) -> None:
         """(Re)build binning and band lists from the current positions.
+
+        ``backend`` runs the band search (see :func:`band_slot_pairs`);
+        every backend builds bitwise the same lists.
 
         Exception-safe: ``pack_fn`` may refuse pathological inputs (the
         reference pack raises ``FloatingPointError`` on non-box-local
@@ -329,7 +328,7 @@ class CellState:
         packed, offsets, band = self._pack_fn(positions)
         pairs = band_slot_pairs(
             self.plan, clist.start, clist.counts, packed[clist.order],
-            offsets, band,
+            offsets, band, backend=backend,
         )
         self.clist = clist
         self.coords = coords
@@ -377,7 +376,7 @@ def machine_pack_fn(
 ) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, float]]:
     """``pack_fn`` for the fixed-point machine path (cell fractions).
 
-    Mirrors ``FasdaMachine._eval_padded``: packed vectors are quantized
+    Mirrors ``FasdaMachine._eval_band``: packed vectors are quantized
     in-cell fractions (normalized units, cutoff = 1), offsets are the
     integer half-shell offsets, and the band is ``(1 + skin')^2`` with
     the fresh path's 1e-3 float32 margin, ``skin' = skin / cutoff``.

@@ -124,11 +124,11 @@ class CellPairPlan:
         self.has_shift = np.any(self.shift != 0.0, axis=1)
         # One-entry decode-table cache (see :meth:`padded_decode`): the
         # bucket cap changes rarely between steps of one box.
-        self._decode_key: Tuple[int, int] = (-1, -1)
+        self._decode_cap = -1
         self._decode_tables: Optional[Tuple[np.ndarray, ...]] = None
 
     def padded_decode(
-        self, cap: int, n_cells: Optional[int] = None
+        self, cap: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cached flat-index -> (cell, home slot, neighbor slot) decode tables.
 
@@ -136,22 +136,19 @@ class CellPairPlan:
         candidate mask decodes as ``cell = f // cap^2``, ``i = (f //
         cap) % cap``, ``j = f % cap``; precomputing the tables turns
         three per-survivor integer divisions per offset into three cheap
-        int32 gathers.  ``n_cells`` (default: the whole grid) sizes the
-        tables to one search block.  Hoisted onto the plan so the numpy
-        padded paths, the band-list builder and the compiled backends
-        all share one copy per geometry.
+        int32 gathers.  Hoisted onto the plan so every padded numpy
+        pass over one geometry shares one copy.
         """
         cap = int(cap)
-        n_cells = self.n_cells if n_cells is None else int(n_cells)
-        if (cap, n_cells) != self._decode_key:
+        if cap != self._decode_cap:
             cap2 = cap * cap
-            f = np.arange(n_cells * cap2, dtype=np.int64)
+            f = np.arange(self.n_cells * cap2, dtype=np.int64)
             self._decode_tables = (
                 (f // cap2).astype(np.int32),
                 ((f // cap) % cap).astype(np.int32),
                 (f % cap).astype(np.int32),
             )
-            self._decode_key = (cap, n_cells)
+            self._decode_cap = cap
         return self._decode_tables
 
     @property

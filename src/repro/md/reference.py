@@ -27,12 +27,8 @@ import numpy as np
 
 from repro.md.backends import ForceBackend, resolve_backend
 from repro.md.cells import CellGrid, CellList, HALF_SHELL_OFFSETS
-from repro.md.cellstate import (
-    _PADDED_MAX_ELEMS,
-    CellState,
-    band_slot_pairs,
-    engine_pack_fn,
-)
+from repro.md.backends import _PADDED_MAX_ELEMS
+from repro.md.cellstate import CellState, band_slot_pairs, engine_pack_fn
 from repro.md.kernels import lj_scalar_energy, pair_forces_energy, scatter_add
 from repro.md.params import LJTable
 from repro.md.pairplan import (
@@ -96,7 +92,7 @@ def compute_forces_bruteforce(
 #: volume over true half-shell candidates — must stay bounded or
 #: sparse/skewed occupancies would burn bandwidth on sentinel slots (the
 #: per-offset scratch bound is the band search's block budget,
-#: :data:`~repro.md.cellstate._PADDED_MAX_ELEMS`).
+#: :data:`~repro.md.backends._PADDED_MAX_ELEMS`).
 _PADDED_MAX_WASTE = 8.0
 
 
@@ -559,7 +555,7 @@ def compute_forces_cells(
 
     if state is not None and state.artifacts.get("usable", True):
         try:
-            rebuilt = state.ensure(pos)
+            rebuilt = state.ensure(pos, backend)
         except FloatingPointError:
             rebuilt = None  # non-box-local positions: fresh path below
         if rebuilt is not None:
@@ -597,7 +593,7 @@ def compute_forces_cells(
                 # accumulates bitwise as it does there.
                 pairs = band_slot_pairs(
                     plan, clist.start, clist.counts, packed[clist.order],
-                    offs, band,
+                    offs, band, backend=backend,
                 )
                 return _forces_cells_flat(
                     pos, lj, clist, cutoff2, shift_e,

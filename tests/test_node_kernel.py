@@ -278,7 +278,7 @@ def test_blocked_band_search_is_one_block_bitwise(monkeypatch):
     and for one node's home cells."""
     from repro.core.machine import _FRESH_BAND, _OFFS14
     from repro.core.datapath import quantize_cell_fractions
-    from repro.md import cellstate
+    from repro.md import backends, cellstate
     from repro.md.cells import CellList
 
     dims = (4, 3, 5)
@@ -303,7 +303,7 @@ def test_blocked_band_search_is_one_block_bitwise(monkeypatch):
 
     whole, part = search(), search(homes=homes, cap=cap)
     for budget in (cap * cap, 3 * cap * cap + 1, 7 * cap * cap):
-        monkeypatch.setattr(cellstate, "_PADDED_MAX_ELEMS", budget)
+        monkeypatch.setattr(backends, "_PADDED_MAX_ELEMS", budget)
         for ref, got in ((whole, search()), (part, search(homes=homes, cap=cap))):
             for name in ("a", "b", "c", "js", "segs"):
                 want, have = getattr(ref, name), getattr(got, name)
